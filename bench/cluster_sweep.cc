@@ -35,6 +35,7 @@
 #include "bench/bench_common.h"
 #include "cluster/cluster_router.h"
 #include "data/ground_truth.h"
+#include "obs/window.h"
 #include "serve/shard_router.h"
 
 namespace {
@@ -216,14 +217,10 @@ int main(int argc, char** argv) {
   json += "\n  ]\n}\n";
 
   const std::string out = argc > 1 ? argv[1] : "BENCH_cluster.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
+  if (!obs::WriteTextFile(out, json)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
     return 1;
   }
-  std::fclose(file);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

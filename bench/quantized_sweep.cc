@@ -23,6 +23,7 @@
 #include "data/ground_truth.h"
 #include "data/quantize.h"
 #include "gpusim/device.h"
+#include "obs/window.h"
 
 namespace {
 
@@ -116,14 +117,10 @@ int main(int argc, char** argv) {
   json += "\n  ]\n}\n";
 
   const std::string out = argc > 1 ? argv[1] : "BENCH_quantized.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
+  if (!obs::WriteTextFile(out, json)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
     return 1;
   }
-  std::fclose(file);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -35,6 +35,7 @@
 #include <future>
 
 #include "bench/bench_common.h"
+#include "obs/window.h"
 #include "serve/serve_engine.h"
 
 namespace {
@@ -280,14 +281,10 @@ int main(int argc, char** argv) {
   json += "\n  ]\n}\n";
 
   const std::string out = argc > 1 ? argv[1] : "BENCH_update.json";
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr ||
-      std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-    if (file != nullptr) std::fclose(file);
+  if (!obs::WriteTextFile(out, json)) {
     std::fprintf(stderr, "failed to write %s\n", out.c_str());
     return 1;
   }
-  std::fclose(file);
   std::printf("wrote %s\n", out.c_str());
   return 0;
 }

@@ -1,21 +1,15 @@
 #include "obs/alerts.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 
 #include "obs/trace.h"
+#include "obs/window.h"
 
 namespace ganns {
 namespace obs {
 namespace {
-
-void AppendFixed(std::string& out, double value, int precision) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  out += buffer;
-}
 
 std::uint64_t CounterDelta(const FederatedWindow& window,
                            const std::string& name) {
@@ -315,11 +309,7 @@ std::string AlertEngine::ToJsonl() const {
 }
 
 bool AlertEngine::WriteJsonl(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToJsonl());
 }
 
 }  // namespace obs

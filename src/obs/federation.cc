@@ -1,7 +1,5 @@
 #include "obs/federation.h"
 
-#include <algorithm>
-#include <cstdio>
 #include <map>
 #include <utility>
 
@@ -11,90 +9,28 @@ namespace ganns {
 namespace obs {
 namespace {
 
-void AppendFixed(std::string& out, double value, int precision) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  out += buffer;
-}
+/// Bucket-wise sum of sparse snapshots (BucketSnapshot carries each bucket's
+/// own count, not a running total). Merging then delta-ing equals delta-ing
+/// then merging, so the cluster window quantile is exact.
+struct BucketSum {
+  std::map<std::uint32_t, std::uint64_t> buckets;
+  std::uint64_t count = 0;
+  std::uint64_t sum = 0;
 
-/// Prometheus name sanitation, identical to the registry's own exporter.
-std::string PrometheusName(const std::string& name) {
-  std::string out = "ganns_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
+  void Add(const HdrHistogram::BucketSnapshot& snapshot) {
+    for (const auto& [index, n] : snapshot.buckets) buckets[index] += n;
+    count += snapshot.count;
+    sum += snapshot.sum;
   }
-  return out;
-}
 
-/// Counter deltas between two name-sorted snapshots (merge walk; metrics
-/// registered since `prev` delta against zero).
-std::vector<std::pair<std::string, std::uint64_t>> DiffCounters(
-    const MetricsSnapshot& cur, const MetricsSnapshot& prev) {
-  std::vector<std::pair<std::string, std::uint64_t>> deltas;
-  deltas.reserve(cur.counters.size());
-  std::size_t p = 0;
-  for (const auto& [name, value] : cur.counters) {
-    while (p < prev.counters.size() && prev.counters[p].first < name) ++p;
-    const std::uint64_t before =
-        (p < prev.counters.size() && prev.counters[p].first == name)
-            ? prev.counters[p].second
-            : 0;
-    deltas.emplace_back(name, value >= before ? value - before : 0);
+  HdrHistogram::BucketSnapshot Finish() const {
+    HdrHistogram::BucketSnapshot out;
+    out.buckets.assign(buckets.begin(), buckets.end());
+    out.count = count;
+    out.sum = sum;
+    return out;
   }
-  return deltas;
-}
-
-/// Windowed HDR views between two snapshots (bucket-delta quantiles).
-std::vector<WindowSample::HdrWindow> DiffHdr(const MetricsSnapshot& cur,
-                                             const MetricsSnapshot& prev) {
-  std::vector<WindowSample::HdrWindow> windows;
-  windows.reserve(cur.hdr.size());
-  std::size_t p = 0;
-  const HdrHistogram::BucketSnapshot empty;
-  for (const auto& [name, snapshot] : cur.hdr) {
-    while (p < prev.hdr.size() && prev.hdr[p].first < name) ++p;
-    const HdrHistogram::BucketSnapshot& before =
-        (p < prev.hdr.size() && prev.hdr[p].first == name) ? prev.hdr[p].second
-                                                           : empty;
-    WindowSample::HdrWindow window;
-    window.name = name;
-    window.count = HdrHistogram::DeltaCount(snapshot, before);
-    window.p50 = HdrHistogram::DeltaQuantile(snapshot, before, 0.50);
-    window.p99 = HdrHistogram::DeltaQuantile(snapshot, before, 0.99);
-    window.max = HdrHistogram::DeltaQuantile(snapshot, before, 1.0);
-    window.total_count = snapshot.count;
-    windows.push_back(std::move(window));
-  }
-  return windows;
-}
-
-/// Sums sparse per-bucket snapshots into one (BucketSnapshot carries each
-/// bucket's own count, not a running total). Merging then delta-ing equals
-/// delta-ing then merging, so the cluster window quantile is exact.
-void MergeBucketSnapshot(std::map<std::uint32_t, std::uint64_t>& per_bucket,
-                         std::uint64_t& sum,
-                         const HdrHistogram::BucketSnapshot& snapshot) {
-  for (const auto& [index, count] : snapshot.buckets) {
-    per_bucket[index] += count;
-  }
-  sum += snapshot.sum;
-}
-
-HdrHistogram::BucketSnapshot FinishMerge(
-    const std::map<std::uint32_t, std::uint64_t>& per_bucket,
-    std::uint64_t sum) {
-  HdrHistogram::BucketSnapshot out;
-  out.buckets.reserve(per_bucket.size());
-  for (const auto& [index, count] : per_bucket) {
-    if (count == 0) continue;
-    out.buckets.emplace_back(index, count);
-    out.count += count;
-  }
-  out.sum = sum;
-  return out;
-}
+};
 
 }  // namespace
 
@@ -147,59 +83,44 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
   has_prev_t_ = true;
   ++scrapes_;
 
-  // Cluster-level accumulators: counter deltas summed by name, HDR bucket
-  // deltas merged by name (cur and prev separately, so the merged delta is
-  // the true union of every node's window samples).
+  // Cluster-level accumulators: counter deltas summed by name, HDR buckets
+  // merged by name (cur and prev separately, so the merged delta is the
+  // true union of every node's window samples).
   std::map<std::string, std::uint64_t> cluster_counters;
-  struct HdrMerge {
-    std::map<std::uint32_t, std::uint64_t> cur_buckets, prev_buckets;
-    std::uint64_t cur_sum = 0, prev_sum = 0;
-    std::uint64_t total_count = 0;
+  std::map<std::string, std::pair<BucketSum, BucketSum>> cluster_hdr;
+  const auto accumulate = [&](const MetricsSnapshot& cur,
+                              const MetricsSnapshot& prev,
+                              const CounterDeltas& deltas) {
+    for (const auto& [name, delta] : deltas) cluster_counters[name] += delta;
+    for (const auto& [name, hdr] : cur.hdr) cluster_hdr[name].first.Add(hdr);
+    for (const auto& [name, hdr] : prev.hdr) cluster_hdr[name].second.Add(hdr);
   };
-  std::map<std::string, HdrMerge> cluster_hdr;
 
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     NodeState& state = nodes_[n];
-    NodeWindow node_window;
-    node_window.node = n;
-    node_window.scrape_ok =
-        state.hooks.alive == nullptr || state.hooks.alive();
+    const bool scrape_ok = state.hooks.alive == nullptr || state.hooks.alive();
     if (state.hooks.state != nullptr) {
       state.last_state = state.hooks.state();
     }
-    node_window.state = node_window.scrape_ok ? state.last_state : "down";
 
     // An unreachable node answers nothing: its effective snapshot is the
     // previous one (zero deltas), and only the request probe hits the wire.
-    MetricsSnapshot cur =
-        node_window.scrape_ok ? state.hooks.snapshot() : state.prev;
+    MetricsSnapshot cur = scrape_ok ? state.hooks.snapshot() : state.prev;
     const std::uint64_t response_bytes =
-        node_window.scrape_ok ? SnapshotWireBytes(cur) : 0;
+        scrape_ok ? SnapshotWireBytes(cur) : 0;
     if (state.hooks.charge != nullptr) {
       state.hooks.charge(options_.scrape_request_bytes, response_bytes);
     }
     window.scrape_bytes += options_.scrape_request_bytes + response_bytes;
 
-    node_window.counter_deltas = DiffCounters(cur, state.prev);
-    node_window.gauges = cur.gauges;
-    node_window.hdr = DiffHdr(cur, state.prev);
-
-    for (const auto& [name, delta] : node_window.counter_deltas) {
-      cluster_counters[name] += delta;
-    }
-    for (const auto& [name, snapshot] : cur.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.cur_buckets, merge.cur_sum, snapshot);
-      merge.total_count += snapshot.count;
-    }
-    for (const auto& [name, snapshot] : state.prev.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.prev_buckets, merge.prev_sum, snapshot);
-    }
+    NodeWindow node_window{DiffSnapshots(cur, state.prev)};
+    node_window.node = n;
+    node_window.scrape_ok = scrape_ok;
+    node_window.state = scrape_ok ? state.last_state : "down";
+    accumulate(cur, state.prev, node_window.counter_deltas);
 
     state.prev = cur;
-    state.has_prev = true;
-    if (node_window.scrape_ok) state.last = std::move(cur);
+    if (scrape_ok) state.last = std::move(cur);
     window.nodes.push_back(std::move(node_window));
   }
 
@@ -207,18 +128,8 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
   // delta arithmetic, no NIC charge.
   if (control_ != nullptr) {
     MetricsSnapshot cur = control_();
-    for (const auto& [name, delta] : DiffCounters(cur, control_prev_)) {
-      cluster_counters[name] += delta;
-    }
-    for (const auto& [name, snapshot] : cur.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.cur_buckets, merge.cur_sum, snapshot);
-      merge.total_count += snapshot.count;
-    }
-    for (const auto& [name, snapshot] : control_prev_.hdr) {
-      HdrMerge& merge = cluster_hdr[name];
-      MergeBucketSnapshot(merge.prev_buckets, merge.prev_sum, snapshot);
-    }
+    accumulate(cur, control_prev_,
+               DiffSnapshots(cur, control_prev_).counter_deltas);
     for (const auto& [name, value] : cur.gauges) {
       if (name == options_.queue_gauge) window.queue_saturation = value;
     }
@@ -228,18 +139,11 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
 
   window.counter_deltas.assign(cluster_counters.begin(),
                                cluster_counters.end());
-  for (const auto& [name, merge] : cluster_hdr) {
-    const HdrHistogram::BucketSnapshot cur =
-        FinishMerge(merge.cur_buckets, merge.cur_sum);
-    const HdrHistogram::BucketSnapshot prev =
-        FinishMerge(merge.prev_buckets, merge.prev_sum);
-    WindowSample::HdrWindow hdr;
-    hdr.name = name;
-    hdr.count = HdrHistogram::DeltaCount(cur, prev);
-    hdr.p50 = HdrHistogram::DeltaQuantile(cur, prev, 0.50);
-    hdr.p99 = HdrHistogram::DeltaQuantile(cur, prev, 0.99);
-    hdr.max = HdrHistogram::DeltaQuantile(cur, prev, 1.0);
-    hdr.total_count = merge.total_count;
+  for (const auto& [name, merged] : cluster_hdr) {
+    const HdrHistogram::BucketSnapshot cur = merged.first.Finish();
+    window.hdr.push_back(
+        HdrWindowOf(name, cur, merged.second.Finish(), cur.count));
+    const HdrWindow& hdr = window.hdr.back();
     if (name == options_.latency_hdr) {
       window.slo_sample_count = hdr.count;
       if (options_.slo_deadline_us > 0 && hdr.count > 0) {
@@ -247,7 +151,6 @@ FederatedWindow MetricsFederation::Scrape(std::uint64_t now_us) {
                               static_cast<double>(options_.slo_deadline_us);
       }
     }
-    window.hdr.push_back(std::move(hdr));
   }
 
   scrape_bytes_ += window.scrape_bytes;
@@ -267,53 +170,13 @@ std::string MetricsFederation::WindowJson(const FederatedWindow& window) {
     first_node = false;
     out += "{\"node\":" + std::to_string(node.node) + ",\"state\":\"" +
            node.state + "\",\"scrape_ok\":" +
-           (node.scrape_ok ? "true" : "false") + ",\"counters\":{";
-    bool first = true;
-    for (const auto& [name, delta] : node.counter_deltas) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + name + "\":" + std::to_string(delta);
-    }
-    out += "},\"gauges\":{";
-    first = true;
-    for (const auto& [name, value] : node.gauges) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + name + "\":";
-      AppendFixed(out, value, 6);
-    }
-    out += "},\"hdr\":{";
-    first = true;
-    for (const WindowSample::HdrWindow& hdr : node.hdr) {
-      if (!first) out += ",";
-      first = false;
-      out += "\"" + hdr.name + "\":{\"count\":" + std::to_string(hdr.count) +
-             ",\"p50\":" + std::to_string(hdr.p50) +
-             ",\"p99\":" + std::to_string(hdr.p99) +
-             ",\"max\":" + std::to_string(hdr.max) +
-             ",\"total_count\":" + std::to_string(hdr.total_count) + "}";
-    }
-    out += "}}";
+           (node.scrape_ok ? "true" : "false") + ",";
+    AppendWindowSections(out, node.counter_deltas, &node.gauges, node.hdr);
+    out += "}";
   }
-  out += "],\"cluster\":{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, delta] : window.counter_deltas) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":" + std::to_string(delta);
-  }
-  out += "},\"hdr\":{";
-  first = true;
-  for (const WindowSample::HdrWindow& hdr : window.hdr) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + hdr.name + "\":{\"count\":" + std::to_string(hdr.count) +
-           ",\"p50\":" + std::to_string(hdr.p50) +
-           ",\"p99\":" + std::to_string(hdr.p99) +
-           ",\"max\":" + std::to_string(hdr.max) +
-           ",\"total_count\":" + std::to_string(hdr.total_count) + "}";
-  }
-  out += "}},\"derived\":{\"slo_headroom\":";
+  out += "],\"cluster\":{";
+  AppendWindowSections(out, window.counter_deltas, nullptr, window.hdr);
+  out += "},\"derived\":{\"slo_headroom\":";
   AppendFixed(out, window.slo_headroom, 6);
   out += ",\"slo_samples\":" + std::to_string(window.slo_sample_count);
   out += ",\"queue_saturation\":";
@@ -332,78 +195,47 @@ std::string MetricsFederation::ToJsonl() const {
 }
 
 bool MetricsFederation::WriteJsonl(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToJsonl());
 }
 
 std::string MetricsFederation::ToPrometheus() const {
-  // Group by metric family so every family gets one TYPE line followed by
-  // the per-node labeled samples, node order within a family.
-  std::map<std::string, std::vector<std::string>> counters, gauges, summaries;
-  const auto label = [](std::size_t node) {
-    return "{node=\"" + std::to_string(node) + "\"}";
-  };
+  // Scopes in export order: every node by id, then the cluster-scope control
+  // registry. Samples are grouped by metric family so every family gets one
+  // TYPE line followed by its per-scope labeled samples, in scope order.
+  std::vector<std::pair<std::string, const MetricsSnapshot*>> scopes;
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const MetricsSnapshot& snapshot = nodes_[n].last;
-    for (const auto& [name, value] : snapshot.counters) {
-      counters[PrometheusName(name)].push_back(
-          PrometheusName(name) + label(n) + " " + std::to_string(value));
-    }
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::string line = PrometheusName(name) + label(n) + " ";
-      AppendFixed(line, value, 6);
-      gauges[PrometheusName(name)].push_back(std::move(line));
-    }
-    const HdrHistogram::BucketSnapshot empty;
-    for (const auto& [name, hdr] : snapshot.hdr) {
-      const std::string prom = PrometheusName(name);
-      std::vector<std::string>& lines = summaries[prom];
-      for (const auto& [quantile_label, q] :
-           {std::pair<const char*, double>{"0.5", 0.50},
-            {"0.9", 0.90},
-            {"0.99", 0.99}}) {
-        lines.push_back(prom + "{node=\"" + std::to_string(n) +
-                        "\",quantile=\"" + quantile_label + "\"} " +
-                        std::to_string(
-                            HdrHistogram::DeltaQuantile(hdr, empty, q)));
-      }
-      lines.push_back(prom + "_sum" + label(n) + " " +
-                      std::to_string(hdr.sum));
-      lines.push_back(prom + "_count" + label(n) + " " +
-                      std::to_string(hdr.count));
-    }
+    scopes.emplace_back(std::to_string(n), &nodes_[n].last);
   }
-  if (control_has_prev_) {
-    const MetricsSnapshot& snapshot = control_prev_;
-    for (const auto& [name, value] : snapshot.counters) {
-      counters[PrometheusName(name)].push_back(PrometheusName(name) +
-                                               "{node=\"cluster\"} " +
-                                               std::to_string(value));
+  if (control_has_prev_) scopes.emplace_back("cluster", &control_prev_);
+
+  std::map<std::string, std::vector<std::string>> counters, gauges, summaries;
+  const HdrHistogram::BucketSnapshot empty;
+  for (const auto& [node, snapshot] : scopes) {
+    const std::string label = "{node=\"" + node + "\"}";
+    for (const auto& [name, value] : snapshot->counters) {
+      const std::string prom = PrometheusName(name);
+      counters[prom].push_back(prom + label + " " + std::to_string(value));
     }
-    for (const auto& [name, value] : snapshot.gauges) {
-      std::string line = PrometheusName(name) + "{node=\"cluster\"} ";
+    for (const auto& [name, value] : snapshot->gauges) {
+      const std::string prom = PrometheusName(name);
+      std::string line = prom + label + " ";
       AppendFixed(line, value, 6);
-      gauges[PrometheusName(name)].push_back(std::move(line));
+      gauges[prom].push_back(std::move(line));
     }
-    const HdrHistogram::BucketSnapshot empty;
-    for (const auto& [name, hdr] : snapshot.hdr) {
+    for (const auto& [name, hdr] : snapshot->hdr) {
       const std::string prom = PrometheusName(name);
       std::vector<std::string>& lines = summaries[prom];
       for (const auto& [quantile_label, q] :
            {std::pair<const char*, double>{"0.5", 0.50},
             {"0.9", 0.90},
             {"0.99", 0.99}}) {
-        lines.push_back(prom + "{node=\"cluster\",quantile=\"" +
+        lines.push_back(prom + "{node=\"" + node + "\",quantile=\"" +
                         quantile_label + "\"} " +
                         std::to_string(
                             HdrHistogram::DeltaQuantile(hdr, empty, q)));
       }
-      lines.push_back(prom + "_sum{node=\"cluster\"} " +
-                      std::to_string(hdr.sum));
-      lines.push_back(prom + "_count{node=\"cluster\"} " +
+      lines.push_back(prom + "_sum" + label + " " + std::to_string(hdr.sum));
+      lines.push_back(prom + "_count" + label + " " +
                       std::to_string(hdr.count));
     }
   }
@@ -424,11 +256,7 @@ std::string MetricsFederation::ToPrometheus() const {
 }
 
 bool MetricsFederation::WritePrometheus(const std::string& path) const {
-  const std::string text = ToPrometheus();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToPrometheus());
 }
 
 }  // namespace obs

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "obs/timeseries.h"
+#include "obs/window.h"
 
 namespace ganns {
 namespace obs {
@@ -50,16 +50,14 @@ struct NodeHooks {
       charge;
 };
 
-/// One node's slice of a federated window.
-struct NodeWindow {
+/// One node's slice of a federated window: the node's snapshot diff (the
+/// SnapshotDiff base) plus its scrape outcome.
+struct NodeWindow : SnapshotDiff {
   std::size_t node = 0;
   /// False when the node was unreachable this round (crashed): the window
   /// carries its last-known state with zero deltas.
   bool scrape_ok = false;
   std::string state = "up";
-  std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<WindowSample::HdrWindow> hdr;
 };
 
 /// One scrape round merged into a cluster view: per-node windows plus
@@ -77,8 +75,8 @@ struct FederatedWindow {
   /// control registry's deltas; HDR windows are computed on bucket-merged
   /// snapshots, so the cluster p99 is the true quantile over every node's
   /// samples, not an average of per-node quantiles.
-  std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
-  std::vector<WindowSample::HdrWindow> hdr;
+  CounterDeltas counter_deltas;
+  std::vector<HdrWindow> hdr;
 
   /// Windowed p99(latency_hdr) / slo_deadline_us (0 when empty/disabled).
   double slo_headroom = 0;
@@ -99,7 +97,7 @@ std::uint64_t SnapshotWireBytes(const MetricsSnapshot& snapshot);
 
 /// The monitoring plane: scrapes every registered node's registry on a
 /// fixed simulated interval, diffs consecutive snapshots into federated
-/// windows (TimeSeriesCollector's bucket-delta arithmetic, applied
+/// windows (the obs/window.h engine TimeSeriesCollector also uses, applied
 /// per node and to the bucket-merged cluster view), and exports the window
 /// stream as JSONL and the cumulative per-node state as Prometheus text
 /// with node labels.
@@ -152,7 +150,6 @@ class MetricsFederation {
   struct NodeState {
     NodeHooks hooks;
     MetricsSnapshot prev;
-    bool has_prev = false;
     MetricsSnapshot last;  ///< latest successful scrape (Prometheus source)
     std::string last_state = "up";
   };

@@ -1,40 +1,16 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <mutex>
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "obs/window.h"
 
 namespace ganns {
 namespace obs {
-namespace {
-
-/// Deterministic double formatting for gauge values (fixed precision, so
-/// equal values print equal bytes).
-void AppendDouble(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.6f", value);
-  out += buffer;
-}
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; we map everything else
-/// (the registry's dots) to '_' and prefix the project namespace.
-std::string PrometheusName(const std::string& name) {
-  std::string out = "ganns_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-}  // namespace
-
 /// Per-instance metric maps. std::map keeps export order sorted by name;
 /// unique_ptr keeps references stable across inserts, so a cached Get*
 /// reference outlives any later interning.
@@ -193,7 +169,7 @@ std::string MetricsRegistry::ToJson() const {
     if (!first) out += ",";
     first = false;
     out += "\n\"" + name + "\":";
-    AppendDouble(out, gauge->value());
+    AppendFixed(out, gauge->value(), 6);
   }
   out += "\n},\n\"histograms\":{";
   first = true;
@@ -225,7 +201,7 @@ std::string MetricsRegistry::ToJson() const {
            ",\"sum\":" + std::to_string(hdr->sum()) +
            ",\"min\":" + std::to_string(hdr->min()) +
            ",\"max\":" + std::to_string(hdr->max()) + ",\"mean\":";
-    AppendDouble(out, hdr->mean());
+    AppendFixed(out, hdr->mean(), 6);
     out += ",\"p50\":" + std::to_string(hdr->ValueAtQuantile(0.50)) +
            ",\"p90\":" + std::to_string(hdr->ValueAtQuantile(0.90)) +
            ",\"p95\":" + std::to_string(hdr->ValueAtQuantile(0.95)) +
@@ -258,7 +234,7 @@ std::string MetricsRegistry::ToPrometheus() const {
     const std::string prom = PrometheusName(name);
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " ";
-    AppendDouble(out, gauge->value());
+    AppendFixed(out, gauge->value(), 6);
     out += "\n";
   }
   for (const auto& [name, histogram] : state.histograms) {
@@ -295,19 +271,11 @@ std::string MetricsRegistry::ToPrometheus() const {
 }
 
 bool MetricsRegistry::WritePrometheus(const std::string& path) const {
-  const std::string text = ToPrometheus();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToPrometheus());
 }
 
 bool MetricsRegistry::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  return std::fclose(file) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 void SnapshotRuntimeMetrics() {

@@ -1,22 +1,11 @@
 #include "obs/timeseries.h"
 
 #include <chrono>
-#include <cstdio>
 
 #include "common/timer.h"
 
 namespace ganns {
 namespace obs {
-namespace {
-
-/// Fixed-precision double formatting so equal values print equal bytes.
-void AppendFixed(std::string& out, double value, int precision) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  out += buffer;
-}
-
-}  // namespace
 
 TimeSeriesCollector::TimeSeriesCollector(TimeSeriesOptions options)
     : options_(options) {}
@@ -30,48 +19,17 @@ WindowSample TimeSeriesCollector::Tick() {
   const double now_us = WallSpanNow() * 1e6;
 
   std::lock_guard<std::mutex> lock(mutex_);
-  WindowSample window;
+  WindowSample window{DiffSnapshots(cur, prev_)};
   window.seq = next_seq_++;
   window.t_us = now_us;
   window.interval_us = has_prev_ ? now_us - prev_t_us_ : 0.0;
-
-  // Counter deltas vs the previous cut; counters registered since then
-  // delta against zero. cur is name-sorted, so a merge walk suffices.
-  window.counter_deltas.reserve(cur.counters.size());
-  std::size_t p = 0;
-  for (const auto& [name, value] : cur.counters) {
-    while (p < prev_.counters.size() && prev_.counters[p].first < name) ++p;
-    const std::uint64_t before =
-        (p < prev_.counters.size() && prev_.counters[p].first == name)
-            ? prev_.counters[p].second
-            : 0;
-    window.counter_deltas.emplace_back(name,
-                                       value >= before ? value - before : 0);
-  }
-  window.gauges = cur.gauges;
-
-  window.hdr.reserve(cur.hdr.size());
-  p = 0;
-  const HdrHistogram::BucketSnapshot empty;
-  for (const auto& [name, snapshot] : cur.hdr) {
-    while (p < prev_.hdr.size() && prev_.hdr[p].first < name) ++p;
-    const HdrHistogram::BucketSnapshot& before =
-        (p < prev_.hdr.size() && prev_.hdr[p].first == name)
-            ? prev_.hdr[p].second
-            : empty;
-    WindowSample::HdrWindow hdr;
-    hdr.name = name;
-    hdr.count = HdrHistogram::DeltaCount(snapshot, before);
-    hdr.p50 = HdrHistogram::DeltaQuantile(snapshot, before, 0.50);
-    hdr.p99 = HdrHistogram::DeltaQuantile(snapshot, before, 0.99);
-    hdr.max = HdrHistogram::DeltaQuantile(snapshot, before, 1.0);
-    hdr.total_count = snapshot.count;
-    if (options_.slo_deadline_us > 0 && name == options_.latency_hdr &&
-        hdr.count > 0) {
-      window.slo_headroom = static_cast<double>(hdr.p99) /
-                            static_cast<double>(options_.slo_deadline_us);
+  if (options_.slo_deadline_us > 0) {
+    for (const HdrWindow& hdr : window.hdr) {
+      if (hdr.name == options_.latency_hdr && hdr.count > 0) {
+        window.slo_headroom = static_cast<double>(hdr.p99) /
+                              static_cast<double>(options_.slo_deadline_us);
+      }
     }
-    window.hdr.push_back(std::move(hdr));
   }
 
   double depth = 0;
@@ -146,33 +104,10 @@ std::string TimeSeriesCollector::WindowJson(const WindowSample& window) {
   AppendFixed(out, window.t_us, 3);
   out += ",\"interval_us\":";
   AppendFixed(out, window.interval_us, 3);
-  out += ",\"counters\":{";
-  bool first = true;
-  for (const auto& [name, delta] : window.counter_deltas) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":" + std::to_string(delta);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : window.gauges) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + name + "\":";
-    AppendFixed(out, value, 6);
-  }
-  out += "},\"hdr\":{";
-  first = true;
-  for (const WindowSample::HdrWindow& hdr : window.hdr) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"" + hdr.name + "\":{\"count\":" + std::to_string(hdr.count) +
-           ",\"p50\":" + std::to_string(hdr.p50) +
-           ",\"p99\":" + std::to_string(hdr.p99) +
-           ",\"max\":" + std::to_string(hdr.max) +
-           ",\"total_count\":" + std::to_string(hdr.total_count) + "}";
-  }
-  out += "},\"derived\":{\"slo_headroom\":";
+  out += ",";
+  AppendWindowSections(out, window.counter_deltas, &window.gauges,
+                       window.hdr);
+  out += ",\"derived\":{\"slo_headroom\":";
   AppendFixed(out, window.slo_headroom, 6);
   out += ",\"queue_saturation\":";
   AppendFixed(out, window.queue_saturation, 6);
@@ -191,11 +126,7 @@ std::string TimeSeriesCollector::ToJsonl() const {
 }
 
 bool TimeSeriesCollector::WriteJsonl(const std::string& path) const {
-  const std::string text = ToJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return WriteTextFile(path, ToJsonl());
 }
 
 }  // namespace obs

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/window.h"
 
 namespace ganns {
 namespace obs {
@@ -35,28 +36,14 @@ struct TimeSeriesOptions {
 };
 
 /// One fixed-interval window over the registry: counter deltas, gauge
-/// values, and windowed HDR quantiles, all name-sorted.
-struct WindowSample {
+/// values, and windowed HDR quantiles (the SnapshotDiff base), plus the
+/// window's timing and derived SLO signals.
+struct WindowSample : SnapshotDiff {
   std::uint64_t seq = 0;
   /// Window end on the obs wall-span timeline (microseconds).
   double t_us = 0;
   /// Microseconds since the previous window (0 for the first).
   double interval_us = 0;
-
-  std::vector<std::pair<std::string, std::uint64_t>> counter_deltas;
-  std::vector<std::pair<std::string, double>> gauges;
-
-  /// Windowed view of one HDR histogram: quantiles of exactly the samples
-  /// recorded during this window (bucket-delta computed, never a reset).
-  struct HdrWindow {
-    std::string name;
-    std::uint64_t count = 0;       ///< samples in this window
-    std::uint64_t p50 = 0;
-    std::uint64_t p99 = 0;
-    std::uint64_t max = 0;         ///< bucket upper bound of the window max
-    std::uint64_t total_count = 0; ///< cumulative since process start
-  };
-  std::vector<HdrWindow> hdr;
 
   /// Derived: windowed p99 latency / SLO deadline (0 when the window is
   /// empty or no deadline is configured). > 1.0 means the SLO was violated

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -11,6 +10,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "obs/window.h"
 
 namespace ganns {
 namespace obs {
@@ -79,14 +79,6 @@ void InstallWallSink() {
   });
 }
 #endif  // GANNS_TRACING_DISABLED
-
-/// Fixed-precision double formatting so equal values always print equal
-/// bytes. Cycle counts and microsecond stamps fit comfortably in %.3f.
-void AppendDouble(std::string& out, double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  out += buffer;
-}
 
 void AppendEscaped(std::string& out, std::string_view s) {
   for (char c : s) {
@@ -259,7 +251,7 @@ std::string TraceRecorder::ToJson() const {
       out += ",\"tid\":";
       out += std::to_string(event.tid);
       out += ",\"ts\":";
-      AppendDouble(out, event.ts);
+      AppendFixed(out, event.ts, 3);
       if (event.flow == FlowPhase::kEnd) out += ",\"bp\":\"e\"";
       out += "}";
       continue;
@@ -273,10 +265,10 @@ std::string TraceRecorder::ToJson() const {
     out += ",\"tid\":";
     out += std::to_string(event.tid);
     out += ",\"ts\":";
-    AppendDouble(out, event.ts);
+    AppendFixed(out, event.ts, 3);
     if (event.dur > 0) {
       out += ",\"dur\":";
-      AppendDouble(out, event.dur);
+      AppendFixed(out, event.dur, 3);
     } else {
       out += ",\"s\":\"t\"";
     }
@@ -294,11 +286,7 @@ std::string TraceRecorder::ToJson() const {
 }
 
 bool TraceRecorder::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  return std::fclose(file) == 0 && written == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace obs

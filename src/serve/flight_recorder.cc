@@ -1,20 +1,15 @@
 #include "serve/flight_recorder.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "obs/window.h"
 
 namespace ganns {
 namespace serve {
 namespace {
 
-/// Deterministic double formatting (equal values print equal bytes).
-void AppendFixed(std::string& out, double value, int precision) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  out += buffer;
-}
+using obs::AppendFixed;
 
 void AppendSpans(std::string& out, const std::vector<obs::TraceEvent>& spans) {
   out += "[";
@@ -229,11 +224,7 @@ std::string FlightRecorder::ToJson() const {
 }
 
 bool FlightRecorder::WriteJson(const std::string& path) const {
-  const std::string json = ToJson();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), file);
-  return std::fclose(file) == 0 && written == json.size();
+  return obs::WriteTextFile(path, ToJson());
 }
 
 std::string FlightRecorder::HardnessJsonl() const {
@@ -258,11 +249,7 @@ std::string FlightRecorder::HardnessJsonl() const {
 }
 
 bool FlightRecorder::WriteHardnessJsonl(const std::string& path) const {
-  const std::string text = HardnessJsonl();
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  return std::fclose(file) == 0 && written == text.size();
+  return obs::WriteTextFile(path, HardnessJsonl());
 }
 
 }  // namespace serve

@@ -4,11 +4,11 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/kway_merge.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/hnsw_gpu.h"
-#include "serve/topk_merge.h"
 
 namespace ganns {
 namespace serve {
@@ -347,7 +347,7 @@ std::vector<std::vector<graph::Neighbor>> ShardedIndex::SearchBatch(
     for (std::size_t s = 0; s < num_shards; ++s) {
       heads[s] = std::move(per_shard[s][q]);
     }
-    merged[q] = MergeTopK(heads, queries[q].k);
+    merged[q] = common::MergeTopK<graph::Neighbor>(heads, queries[q].k);
   }
   if (stats != nullptr) stats->merge_end_us = WallSpanNow() * 1e6;
   return merged;
@@ -363,7 +363,7 @@ std::vector<std::vector<graph::Neighbor>> ShardedIndex::SearchSerial(
       SearchShard(s, queries.subspan(q, 1), kernel,
                   std::span<std::vector<graph::Neighbor>>(&heads[s], 1));
     }
-    merged[q] = MergeTopK(heads, queries[q].k);
+    merged[q] = common::MergeTopK<graph::Neighbor>(heads, queries[q].k);
   }
   return merged;
 }

@@ -40,8 +40,6 @@ struct IndexUpdateOptions {
   double compact_threshold = 0.25;
   /// Run the background compaction task (manual Compact() otherwise).
   bool auto_compact = true;
-  /// Use the host insert/remove paths instead of the charged device paths.
-  bool host_updates = false;
 };
 
 /// Construction-side configuration of a sharded index. Every shard is built

@@ -159,9 +159,6 @@ std::optional<VertexId> ShardedIndex::Insert(std::span<const float> vector) {
   if (entry == kInvalidVertex) {
     // First point of an emptied shard: it becomes the entry, no edges yet.
     entry = *slot;
-  } else if (options_.update.host_updates) {
-    result = core::InsertVertexHost(*graph, *base, *slot, entry,
-                                    MakeUpdateParams());
   } else {
     result = core::InsertVertex(*shard.update_device, *graph, *base, *slot,
                                 entry, MakeUpdateParams());
@@ -205,14 +202,8 @@ bool ShardedIndex::Remove(VertexId global_id) {
 
   Shard& shard = *shards_[s];
   auto graph = std::make_shared<graph::ProximityGraph>(*snap->graph);
-  core::UpdateResult result;
-  if (options_.update.host_updates) {
-    result = core::RemoveVertexHost(*graph, *snap->base, slot,
-                                    MakeUpdateParams());
-  } else {
-    result = core::RemoveVertex(*shard.update_device, *graph, *snap->base,
-                                slot, MakeUpdateParams());
-  }
+  const core::UpdateResult result = core::RemoveVertex(
+      *shard.update_device, *graph, *snap->base, slot, MakeUpdateParams());
 
   VertexId entry = snap->entry;
   if (entry == slot) {

@@ -27,7 +27,12 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ASan subbuild compile failed")
 endif()
 
-execute_process(COMMAND ${GANNS_ASAN_BUILD}/tests/common_concurrency_test
+# detect_stack_use_after_return makes any instrumented access to a returned
+# ParallelFor frame (the caller's stack-local completion state) a hard
+# report; BackToBackTinyLoopsComplete makes thousands of such hand-offs.
+execute_process(COMMAND ${CMAKE_COMMAND} -E env
+                        ASAN_OPTIONS=detect_stack_use_after_return=1
+                        ${GANNS_ASAN_BUILD}/tests/common_concurrency_test
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "common_concurrency_test failed under ASan")

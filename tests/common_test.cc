@@ -109,11 +109,33 @@ TEST(ThreadPoolTest, ParallelForVisitsEveryIndexExactlyOnce) {
 
 TEST(ThreadPoolTest, HandlesZeroAndSmallN) {
   ThreadPool pool(8);
-  int calls = 0;
+  std::atomic<int> calls{0};  // n = 3 runs on up to three threads
   pool.ParallelFor(0, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
+  EXPECT_EQ(calls.load(), 0);
   pool.ParallelFor(3, [&](std::size_t) { ++calls; });
-  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(calls.load(), 3);
+}
+
+// Back-to-back tiny loops stress the completion hand-off. The caller's
+// completion state lives on its stack and dies as soon as ParallelFor
+// returns, so a helper still touching it after the caller could observe
+// completion is a use-after-return. Under the TSan gate this test reports
+// that race on every run of a pool that notifies after an unlocked
+// decrement; a plain build only aborts on it now and then (glibc's mutex
+// owner assertion).
+TEST(ThreadPoolTest, BackToBackTinyLoopsComplete) {
+  for (const std::size_t threads : {4u, 8u}) {
+    ThreadPool pool(threads);
+    for (int round = 0; round < 40; ++round) {
+      for (std::size_t n = 2; n <= 64; ++n) {
+        std::atomic<std::size_t> sum{0};
+        pool.ParallelFor(n, [&](std::size_t i) {
+          sum.fetch_add(i + 1, std::memory_order_relaxed);
+        });
+        ASSERT_EQ(sum.load(), n * (n + 1) / 2) << "threads=" << threads;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, ResultsIndependentOfPoolSize) {

@@ -50,10 +50,9 @@ std::uint64_t Delta(const std::vector<std::pair<std::string, std::uint64_t>>&
   return 0;
 }
 
-const WindowSample::HdrWindow* Hdr(
-    const std::vector<WindowSample::HdrWindow>& windows,
-    const std::string& name) {
-  for (const WindowSample::HdrWindow& window : windows) {
+const HdrWindow* Hdr(const std::vector<HdrWindow>& windows,
+                     const std::string& name) {
+  for (const HdrWindow& window : windows) {
     if (window.name == name) return &window;
   }
   return nullptr;
@@ -157,8 +156,7 @@ TEST(FederationTest, ClusterHdrIsTrueMergedQuantile) {
   }
   const auto first = federation.AdvanceTo(100);
   ASSERT_EQ(first.size(), 1u);
-  const WindowSample::HdrWindow* merged =
-      Hdr(first[0].hdr, "cluster.node.serve_us");
+  const HdrWindow* merged = Hdr(first[0].hdr, "cluster.node.serve_us");
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->count, 100u);
   EXPECT_GE(merged->p99, 4000u);

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/kway_merge.h"
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
 #include "graph/hnsw.h"
@@ -28,7 +29,6 @@
 #include "serve/request_queue.h"
 #include "serve/serve_engine.h"
 #include "serve/shard_router.h"
-#include "serve/topk_merge.h"
 
 namespace ganns {
 namespace serve {
@@ -77,7 +77,7 @@ TEST(TopKMergeTest, MergesDisjointSortedRows) {
       {{0.2f, 10}, {0.5f, 11}, {0.9f, 12}},
       {},
   };
-  const auto merged = MergeTopK(rows, 4);
+  const auto merged = common::MergeTopK<graph::Neighbor>(rows, 4);
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_EQ(merged[0].id, 0u);
   EXPECT_EQ(merged[1].id, 10u);
@@ -91,9 +91,9 @@ TEST(TopKMergeTest, ShardOrderDoesNotMatter) {
       {{0.1f, 0}, {0.5f, 2}},
       {{0.2f, 10}, {0.9f, 12}},
   };
-  const auto forward = MergeTopK(rows, 3);
+  const auto forward = common::MergeTopK<graph::Neighbor>(rows, 3);
   std::swap(rows[0], rows[1]);
-  EXPECT_EQ(MergeTopK(rows, 3), forward);
+  EXPECT_EQ(common::MergeTopK<graph::Neighbor>(rows, 3), forward);
 }
 
 // (a) With an exhaustive budget (every shard can visit its whole slice),
@@ -885,10 +885,8 @@ TEST_F(FlightRecorderTest, RecordingDoesNotChangeResults) {
 
 class LifecycleTest : public ServeTest {
  protected:
-  static ShardBuildOptions MutableOptions(bool host_updates,
-                                          bool auto_compact) {
+  static ShardBuildOptions MutableOptions(bool auto_compact) {
     ShardBuildOptions options;
-    options.update.host_updates = host_updates;
     options.update.auto_compact = auto_compact;
     return options;
   }
@@ -965,24 +963,23 @@ class LifecycleTest : public ServeTest {
 
 // (tentpole oracle) After an arbitrary insert/remove interleaving, search
 // at an exhaustive budget returns exactly the brute-force nearest neighbors
-// of the surviving point set — on both the charged device path and the host
-// path. Double-removes and unknown ids are rejected without side effects.
+// of the surviving point set on the charged device path. Double-removes and
+// unknown ids are rejected without side effects.
 TEST_F(LifecycleTest, MixedUpdatesMatchBruteForceOracle) {
-  for (const bool host_updates : {false, true}) {
-    ShardedIndex index =
-        ShardedIndex::Build(*base_, 2, MutableOptions(host_updates, false));
-    auto live = InitialLiveSet();
-    const auto inserted = ApplyMixedWorkload(index, live);
+  ShardedIndex index = ShardedIndex::Build(*base_, 2, MutableOptions(false));
+  auto live = InitialLiveSet();
+  const auto inserted = ApplyMixedWorkload(index, live);
 
-    EXPECT_FALSE(index.Remove(static_cast<VertexId>(kN + 100000)));
-    const VertexId gone = inserted[0];
-    if (live.count(gone) == 0) EXPECT_FALSE(index.Remove(gone));
-
-    EXPECT_EQ(index.size(), live.size());
-    EXPECT_EQ(index.inserts(), inserted.size());
-    if (!host_updates) EXPECT_GT(index.update_sim_seconds(), 0.0);
-    ExpectMatchesSurvivors(index, live);
+  EXPECT_FALSE(index.Remove(static_cast<VertexId>(kN + 100000)));
+  const VertexId gone = inserted[0];
+  if (live.count(gone) == 0) {
+    EXPECT_FALSE(index.Remove(gone));
   }
+
+  EXPECT_EQ(index.size(), live.size());
+  EXPECT_EQ(index.inserts(), inserted.size());
+  EXPECT_GT(index.update_sim_seconds(), 0.0);
+  ExpectMatchesSurvivors(index, live);
 }
 
 // Readers never block on writers: a dedicated reader thread streams batches
@@ -991,7 +988,7 @@ TEST_F(LifecycleTest, MixedUpdatesMatchBruteForceOracle) {
 // The TSan gate runs this test under the race detector.
 TEST_F(LifecycleTest, WritesDoNotBlockConcurrentReads) {
   ShardedIndex index =
-      ShardedIndex::Build(*base_, 2, MutableOptions(false, true));
+      ShardedIndex::Build(*base_, 2, MutableOptions(true));
   const auto routed = RoutedQueries(64);
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> batches{0};
@@ -1028,7 +1025,7 @@ TEST_F(LifecycleTest, WritesDoNotBlockConcurrentReads) {
 // Background compaction fires once the tombstone fraction crosses the
 // threshold, rebuilds the shard over the survivors, and search stays exact.
 TEST_F(LifecycleTest, CompactionTriggersAtThreshold) {
-  ShardBuildOptions options = MutableOptions(false, true);
+  ShardBuildOptions options = MutableOptions(true);
   options.update.compact_threshold = 0.2;
   ShardedIndex index = ShardedIndex::Build(*base_, 1, options);
   auto live = InitialLiveSet();
@@ -1071,7 +1068,7 @@ TEST_F(LifecycleTest, CompactionTriggersAtThreshold) {
 // repacked in slot order.
 TEST_F(LifecycleTest, CompactionMatchesFreshBuildOverSurvivors) {
   ShardedIndex index =
-      ShardedIndex::Build(*base_, 1, MutableOptions(false, false));
+      ShardedIndex::Build(*base_, 1, MutableOptions(false));
   data::Dataset survivors("survivors", base_->dim(), base_->metric());
   for (VertexId v = 0; v < static_cast<VertexId>(kN); ++v) {
     if (v % 5 == 0) {
@@ -1084,7 +1081,7 @@ TEST_F(LifecycleTest, CompactionMatchesFreshBuildOverSurvivors) {
   EXPECT_FALSE(index.Compact(0));  // nothing left to reclaim
 
   ShardedIndex fresh =
-      ShardedIndex::Build(survivors, 1, MutableOptions(false, false));
+      ShardedIndex::Build(survivors, 1, MutableOptions(false));
   const graph::ProximityGraph& a = index.shard_graph(0);
   const graph::ProximityGraph& b = fresh.shard_graph(0);
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
@@ -1102,7 +1099,7 @@ TEST_F(LifecycleTest, CompactionMatchesFreshBuildOverSurvivors) {
 // write path keeps working on the loaded copy.
 TEST_F(LifecycleTest, MutatedShardPersistenceRoundtrip) {
   const std::string prefix = ::testing::TempDir() + "/lifecycle_shards";
-  const ShardBuildOptions options = MutableOptions(false, false);
+  const ShardBuildOptions options = MutableOptions(false);
   ShardedIndex index = ShardedIndex::Build(*base_, 2, options);
   auto live = InitialLiveSet();
   const auto inserted = ApplyMixedWorkload(index, live);
@@ -1138,7 +1135,7 @@ TEST_F(LifecycleTest, EmptyShardServesNothingAndRevives) {
   const data::Dataset small =
       data::GenerateBase(data::PaperDataset("SIFT1M"), 8, 5);
   ShardedIndex index =
-      ShardedIndex::Build(small, 1, MutableOptions(false, false));
+      ShardedIndex::Build(small, 1, MutableOptions(false));
   for (VertexId v = 0; v < 8; ++v) ASSERT_TRUE(index.Remove(v));
   EXPECT_EQ(index.size(), 0u);
 
@@ -1167,7 +1164,7 @@ TEST_F(LifecycleTest, UpdateMetricsAreRecorded) {
   obs::MetricsRegistry::Global().Reset();
   {
     ShardedIndex index =
-        ShardedIndex::Build(*base_, 1, MutableOptions(false, false));
+        ShardedIndex::Build(*base_, 1, MutableOptions(false));
     ASSERT_TRUE(index.Insert(base_->Point(0)).has_value());
     ASSERT_TRUE(index.Remove(0));
     ASSERT_TRUE(index.Compact(0));

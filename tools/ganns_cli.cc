@@ -48,7 +48,7 @@
 //                [--shards 2] [--k 10] [--budget 256]
 //                [--inserts N] [--removes N] [--kernel ganns|song|beam]
 //                [--ef-insert 64] [--compact-threshold-pct 25]
-//                [--host 1] [--no-auto-compact 1] [--compact 1]
+//                [--no-auto-compact 1] [--compact 1]
 //                [--save prefix] [--json out.json] [--trace-out trace.json]
 //                [--stats-out stats.json] [--prom-out metrics.prom]
 //   ganns stat   <stats.json|cluster report|BENCH_cluster.json>
@@ -64,10 +64,9 @@
 // insert/remove workload through the online write paths, and reports the
 // mutated graph's recall against a brute-force oracle over the surviving
 // points plus update throughput (simulated and wall) and latency
-// percentiles as JSON. --host routes updates through the host (uncharged)
-// paths; --compact forces a synchronous final compaction of every shard;
-// --save persists the mutated shards in the v3 container for `serve-bench
-// --load`.
+// percentiles as JSON. --compact forces a synchronous final compaction of
+// every shard; --save persists the mutated shards in the v3 container for
+// `serve-bench --load`.
 //
 // `serve-bench` builds (or reloads via --load) a sharded index over a
 // synthetic corpus, starts the online serving engine, submits every query
@@ -157,6 +156,7 @@
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
+#include "obs/window.h"
 #include "serve/flight_recorder.h"
 #include "serve/serve_engine.h"
 #include "song/song_search.h"
@@ -561,6 +561,19 @@ core::SearchKernel ParseServeKernel(const Args& args) {
 }
 
 /// Latency percentile over a sorted sample (nearest-rank).
+/// Writes a subcommand's JSON report to --json when that flag is given.
+/// False (after naming the path on stderr) when the file cannot be written.
+bool WriteJsonReport(const Args& args, const std::string& json) {
+  const auto out = args.Get("json");
+  if (!out.has_value()) return true;
+  if (!obs::WriteTextFile(*out, json)) {
+    std::fprintf(stderr, "failed to write %s\n", out->c_str());
+    return false;
+  }
+  std::printf("wrote %s\n", out->c_str());
+  return true;
+}
+
 double Percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1) + 0.5);
@@ -749,17 +762,7 @@ int CmdServeBench(const Args& args) {
                 Percentile(latencies, 0.99));
   json += line;
 
-  if (const auto out = args.Get("json"); out.has_value()) {
-    std::FILE* file = std::fopen(out->c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-      if (file != nullptr) std::fclose(file);
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::fclose(file);
-    std::printf("wrote %s\n", out->c_str());
-  }
+  if (!WriteJsonReport(args, json)) return 1;
   std::fputs(json.c_str(), stdout);
 
   if (trace_out.has_value()) {
@@ -1048,17 +1051,7 @@ int CmdClusterBench(const Args& args) {
   json += "  \"aggregator\": " + cluster_index.AggregatorJson() + ",\n";
   json += "  \"node_stats\": " + cluster_index.NodesJson() + "\n}\n";
 
-  if (const auto out = args.Get("json"); out.has_value()) {
-    std::FILE* file = std::fopen(out->c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-      if (file != nullptr) std::fclose(file);
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::fclose(file);
-    std::printf("wrote %s\n", out->c_str());
-  }
+  if (!WriteJsonReport(args, json)) return 1;
   std::fputs(json.c_str(), stdout);
 
   if (trace_out.has_value()) {
@@ -1154,7 +1147,6 @@ int CmdUpdate(const Args& args) {
       static_cast<std::size_t>(args.Int("ef-insert", 64));
   build_options.update.compact_threshold =
       static_cast<double>(args.Int("compact-threshold-pct", 25)) / 100.0;
-  build_options.update.host_updates = args.Flag("host");
   build_options.update.auto_compact = !args.Flag("no-auto-compact");
 
   const auto trace_out = args.Get("trace-out");
@@ -1318,17 +1310,7 @@ int CmdUpdate(const Args& args) {
                 Percentile(op_latencies, 0.99));
   json += line;
 
-  if (const auto out = args.Get("json"); out.has_value()) {
-    std::FILE* file = std::fopen(out->c_str(), "w");
-    if (file == nullptr ||
-        std::fwrite(json.data(), 1, json.size(), file) != json.size()) {
-      if (file != nullptr) std::fclose(file);
-      std::fprintf(stderr, "failed to write %s\n", out->c_str());
-      return 1;
-    }
-    std::fclose(file);
-    std::printf("wrote %s\n", out->c_str());
-  }
+  if (!WriteJsonReport(args, json)) return 1;
   std::fputs(json.c_str(), stdout);
 
   if (trace_out.has_value()) {
