@@ -1,7 +1,8 @@
 // Google-benchmark microbenchmarks for the per-iteration primitives whose
 // relative host-time costs underlie the cost model: the serial heap/hash
 // operations SONG's host lane executes vs. the data-parallel bitonic
-// networks GANNS uses, plus the raw distance kernel. These measure *host*
+// networks GANNS uses (host fast paths beside the executed reference
+// networks they replace), plus the raw distance kernel. These measure *host*
 // nanoseconds (not simulated cycles): they document that the structures
 // behave as designed, independent of the cost model.
 
@@ -12,6 +13,7 @@
 #include "common/random.h"
 #include "data/dataset.h"
 #include "gpusim/bitonic.h"
+#include "gpusim/bitonic_reference.h"
 #include "gpusim/warp.h"
 #include "song/bounded_max_heap.h"
 #include "song/minmax_heap.h"
@@ -67,7 +69,12 @@ void BM_OpenHashInsertContains(benchmark::State& state) {
 }
 BENCHMARK(BM_OpenHashInsertContains);
 
-void BM_BitonicSort(benchmark::State& state) {
+bool U32Less(std::uint32_t a, std::uint32_t b) { return a < b; }
+
+/// Sorts fresh random data of state.range(0) elements per iteration with
+/// `sort(warp, data)`.
+template <typename Sort>
+void RunBitonicSort(benchmark::State& state, Sort sort) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(4);
   std::vector<std::uint32_t> data(n);
@@ -75,16 +82,34 @@ void BM_BitonicSort(benchmark::State& state) {
   gpusim::Warp warp(32, &cost);
   for (auto _ : state) {
     for (auto& v : data) v = static_cast<std::uint32_t>(rng.NextU64());
-    gpusim::BitonicSort(warp, std::span<std::uint32_t>(data),
-                        [](std::uint32_t a, std::uint32_t b) { return a < b; },
-                        gpusim::CostCategory::kDataStructure);
+    sort(warp, std::span<std::uint32_t>(data));
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
+
+// Host sort that charges the network (the production primitive).
+void BM_BitonicSort(benchmark::State& state) {
+  RunBitonicSort(state, [](gpusim::Warp& warp, std::span<std::uint32_t> data) {
+    gpusim::BitonicSort(warp, data, U32Less,
+                        gpusim::CostCategory::kDataStructure);
+  });
+}
 BENCHMARK(BM_BitonicSort)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
-void BM_BitonicMergeKeepFirst(benchmark::State& state) {
+// The executed compare-exchange network it replaces.
+void BM_BitonicSortReference(benchmark::State& state) {
+  RunBitonicSort(state, [](gpusim::Warp& warp, std::span<std::uint32_t> data) {
+    gpusim::reference::BitonicSort(warp, data, U32Less,
+                                   gpusim::CostCategory::kDataStructure);
+  });
+}
+BENCHMARK(BM_BitonicSortReference)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
+
+/// Merges a sorted random b of state.range(0) elements into an a of the same
+/// length per iteration with `merge(warp, a, b, scratch)`.
+template <typename Merge>
+void RunMergeKeepFirst(benchmark::State& state, Merge merge) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
   std::vector<std::uint32_t> a(n);
@@ -98,16 +123,33 @@ void BM_BitonicMergeKeepFirst(benchmark::State& state) {
       b[i] = static_cast<std::uint32_t>(rng.NextBounded(2 * n));
     }
     std::sort(b.begin(), b.end());
-    gpusim::MergeSortedKeepFirst(
-        warp, std::span<std::uint32_t>(a), std::span<const std::uint32_t>(b),
-        std::span<std::uint32_t>(scratch), ~std::uint32_t{0},
-        [](std::uint32_t x, std::uint32_t y) { return x < y; },
-        gpusim::CostCategory::kDataStructure);
+    merge(warp, std::span<std::uint32_t>(a), std::span<const std::uint32_t>(b),
+          std::span<std::uint32_t>(scratch));
     benchmark::DoNotOptimize(a.data());
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
+
+void BM_BitonicMergeKeepFirst(benchmark::State& state) {
+  RunMergeKeepFirst(state, [](gpusim::Warp& warp, std::span<std::uint32_t> a,
+                              std::span<const std::uint32_t> b,
+                              std::span<std::uint32_t> scratch) {
+    gpusim::MergeSortedKeepFirst(warp, a, b, scratch, U32Less,
+                                 gpusim::CostCategory::kDataStructure);
+  });
+}
 BENCHMARK(BM_BitonicMergeKeepFirst)->Arg(32)->Arg(64)->Arg(128);
+
+void BM_MergeKeepFirstReference(benchmark::State& state) {
+  RunMergeKeepFirst(state, [](gpusim::Warp& warp, std::span<std::uint32_t> a,
+                              std::span<const std::uint32_t> b,
+                              std::span<std::uint32_t> scratch) {
+    gpusim::reference::MergeSortedKeepFirst(
+        warp, a, b, scratch, ~std::uint32_t{0}, U32Less,
+        gpusim::CostCategory::kDataStructure);
+  });
+}
+BENCHMARK(BM_MergeKeepFirstReference)->Arg(32)->Arg(64)->Arg(128);
 
 void BM_ExactDistance(benchmark::State& state) {
   const std::size_t dim = static_cast<std::size_t>(state.range(0));

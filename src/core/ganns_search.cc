@@ -8,6 +8,7 @@
 #include "common/scratch.h"
 #include "data/distance.h"
 #include "gpusim/bitonic.h"
+#include "gpusim/bitonic_reference.h"
 #include "graph/rerank.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -83,6 +84,17 @@ bool SlotLess(const Slot& a, const Slot& b) {
 }
 
 }  // namespace
+
+std::optional<std::string> GannsParams::Validate() const {
+  if (k < 1) {
+    return "invalid k = " + std::to_string(k) + ": must be >= 1";
+  }
+  if ((l_n & (l_n - 1)) != 0 || l_n < k) {
+    return "invalid l_n = " + std::to_string(l_n) +
+           ": must be a power of two >= k (k = " + std::to_string(k) + ")";
+  }
+  return std::nullopt;
+}
 
 const char* GannsPhaseName(int phase) {
   GANNS_CHECK(phase >= 0 && phase < kNumGannsPhases);
@@ -188,8 +200,8 @@ std::vector<graph::Neighbor> GannsSearchOne(
     // Phase (3): bulk distance computation, one vertex of T at a time with
     // every lane of the warp cooperating (sub-vector per lane +
     // __shfl_down_sync reduction). The host computes the whole batch through
-    // the SIMD distance layer; the simulated cost charged per vertex is
-    // unchanged.
+    // the SIMD distance layer and charges it in one addition of `degree`
+    // per-vertex costs.
     if (degree > 0) {
       if (quantized) {
         for (std::size_t i = 0; i < degree; ++i) {
@@ -205,9 +217,9 @@ std::vector<graph::Neighbor> GannsSearchOne(
         }
         scratch.dists.resize(degree);
         data::DistanceMany(base, scratch.ids, query, scratch.dists);
+        warp.ChargeDistances(degree, base.dim());
+        local.distance_computations += degree;
         for (std::size_t i = 0; i < degree; ++i) {
-          warp.ChargeDistance(base.dim());
-          ++local.distance_computations;
           visiting[i].dist = scratch.dists[i];
         }
       }
@@ -251,9 +263,19 @@ std::vector<graph::Neighbor> GannsSearchOne(
     // Phase (6): candidate update. Bitonic merge keeps the l_n closest
     // vertices of T ∪ N in N. A vertex that was explored and later discarded
     // from N can never re-enter: the l_n-th distance of N only decreases.
-    gpusim::MergeSortedKeepFirst(
-        warp, result_array, std::span<const Slot>(visiting), merge_scratch,
-        kSentinelSlot, SlotLess, gpusim::CostCategory::kDataStructure);
+    if (params.disable_lazy_check) {
+      // Without phase (4), N and T can hold the same (dist, id) with
+      // different explored flags. The network's tie order then decides
+      // which copy survives at the l_n and e boundaries, and so which one
+      // phase (1) explores; only the executed network reproduces it.
+      gpusim::reference::MergeSortedKeepFirst(
+          warp, result_array, std::span<const Slot>(visiting), merge_scratch,
+          kSentinelSlot, SlotLess, gpusim::CostCategory::kDataStructure);
+    } else {
+      gpusim::MergeSortedKeepFirst(
+          warp, result_array, std::span<const Slot>(visiting), merge_scratch,
+          SlotLess, gpusim::CostCategory::kDataStructure);
+    }
     phases.End(5);
   }
 
@@ -275,7 +297,7 @@ std::vector<graph::Neighbor> GannsSearchOne(
     }
     const std::size_t evals =
         graph::ExactRerank(base, query, out, params.k, quant->rerank_factor);
-    for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
+    warp.ChargeDistances(evals, base.dim());
     local.distance_computations += evals;
   } else {
     out.reserve(params.k);

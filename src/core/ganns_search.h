@@ -4,7 +4,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -39,6 +41,11 @@ struct GannsParams {
   std::size_t EffectiveE() const {
     return e == 0 || e > l_n ? l_n : e;
   }
+
+  /// Checks the ranges the kernel requires: k >= 1, and l_n a power of two
+  /// with l_n >= k. Returns std::nullopt when valid, otherwise an error that
+  /// names the field, its value and the allowed range.
+  std::optional<std::string> Validate() const;
 };
 
 /// Per-search counters (exposed for tests and the ablation benches).

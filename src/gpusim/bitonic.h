@@ -1,10 +1,10 @@
 #ifndef GANNS_GPUSIM_BITONIC_H_
 #define GANNS_GPUSIM_BITONIC_H_
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <span>
-#include <utility>
 
 #include "common/logging.h"
 #include "gpusim/cost_model.h"
@@ -13,20 +13,29 @@
 namespace ganns {
 namespace gpusim {
 
-/// Warp-parallel bitonic sorting network (Batcher, 1968), the phase-(5)/(6)
-/// primitive of the GANNS search kernel and the edge-list sorter of
-/// GGraphCon. The network is executed compare-exchange for compare-exchange,
-/// so the result (including tie handling via the caller's strict-weak `less`)
-/// is exactly what the GPU kernel produces; the cost model is charged one
-/// lane-strided pass per stage.
+/// Warp-parallel bitonic sorting networks (Batcher, 1968): the phase-(5)/(6)
+/// primitives of the GANNS search kernel and the adjacency-list merge of
+/// GGraphCon. The cost model is charged the GPU network — one lane-strided
+/// pass over the compare-exchange pairs per stage, in stage order — while
+/// the host computes the same result with the cheapest correct algorithm
+/// (std::sort, a linear merge). The network sorts correctly under any
+/// strict weak order, so the two agree on every input whose equal-key
+/// elements are identical; tests/gpusim_test.cc checks outputs and charged
+/// cycles against the executed networks of gpusim/bitonic_reference.h.
 
 /// Smallest power of two >= n (n >= 1).
 inline std::size_t NextPow2(std::size_t n) {
   return n <= 1 ? 1 : std::size_t{1} << std::bit_width(n - 1);
 }
 
-/// In-place bitonic sort of `data` (size must be a power of two) into
-/// ascending order under `less`. Charges log2(L)*(log2(L)+1)/2 stages, each a
+/// Cycles of one warp-wide compare-exchange step in shared memory: the
+/// compare plus the load and store of the pair.
+inline double CompareExchangeCycles(const CostParams& params) {
+  return params.alu_step + 2 * params.shared_access;
+}
+
+/// Sorts `data` (size must be a power of two) ascending under `less` and
+/// charges the bitonic sorting network: log2(L)*(log2(L)+1)/2 stages, each a
 /// lane-strided pass over L/2 compare-exchange pairs, to `category`.
 template <typename T, typename Less>
 void BitonicSort(Warp& warp, std::span<T> data, Less less,
@@ -35,76 +44,44 @@ void BitonicSort(Warp& warp, std::span<T> data, Less less,
   GANNS_CHECK_MSG((len & (len - 1)) == 0, "bitonic sort length " << len
                                           << " is not a power of two");
   if (len <= 1) return;
-  const double per_pair = warp.params().alu_step + 2 * warp.params().shared_access;
-  // Stage loop of the classic network: k = size of the bitonic subsequences
-  // being produced, j = compare distance within the sub-stage.
+  std::sort(data.begin(), data.end(), less);
+  const double stage = warp.StepsFor(len / 2) * CompareExchangeCycles(warp.params());
   for (std::size_t k = 2; k <= len; k <<= 1) {
     for (std::size_t j = k >> 1; j > 0; j >>= 1) {
-      for (std::size_t i = 0; i < len; ++i) {
-        const std::size_t partner = i ^ j;
-        if (partner <= i) continue;
-        const bool ascending = (i & k) == 0;
-        if (less(data[partner], data[i]) == ascending) {
-          std::swap(data[i], data[partner]);
-        }
-      }
-      warp.cost().Charge(category, warp.StepsFor(len / 2) * per_pair);
+      warp.cost().Charge(category, stage);
     }
-  }
-}
-
-/// In-place bitonic *merge*: `data` must be a bitonic sequence (ascending
-/// prefix followed by a descending suffix); sorts it ascending in log2(L)
-/// stages. Used to merge the sorted arrays T and N in phase (6).
-template <typename T, typename Less>
-void BitonicMerge(Warp& warp, std::span<T> data, Less less,
-                  CostCategory category) {
-  const std::size_t len = data.size();
-  GANNS_CHECK_MSG((len & (len - 1)) == 0, "bitonic merge length " << len
-                                          << " is not a power of two");
-  if (len <= 1) return;
-  const double per_pair = warp.params().alu_step + 2 * warp.params().shared_access;
-  for (std::size_t j = len >> 1; j > 0; j >>= 1) {
-    for (std::size_t i = 0; i < len; ++i) {
-      const std::size_t partner = i ^ j;
-      if (partner <= i) continue;
-      if (less(data[partner], data[i])) {
-        std::swap(data[i], data[partner]);
-      }
-    }
-    warp.cost().Charge(category, warp.StepsFor(len / 2) * per_pair);
   }
 }
 
 /// Merges two ascending sequences `a` and `b` (each already sorted under
-/// `less`) and writes the smallest a.size() elements back into `a`.
-/// `scratch` must have capacity 2 * NextPow2(max(|a|, |b|)); slack positions
-/// are filled with `sentinel`, which must compare greater-or-equal to every
-/// real element. This is the bitonic-merge-based candidate update of the
-/// GANNS kernel (phase 6) and the adjacency-list merge of GGraphCon step 3.
+/// `less`) and writes the smallest a.size() elements back into `a` — the
+/// candidate update of the GANNS kernel (phase 6) and the adjacency-list
+/// merge of GGraphCon step 3. Charges the GPU version: the store of a and
+/// reversed b into a 2 * NextPow2(max(|a|, |b|))-slot bitonic layout in
+/// `scratch` (which must be that large), a log2-stage bitonic merge over it,
+/// and the copy-back of a.size() slots.
 template <typename T, typename Less>
 void MergeSortedKeepFirst(Warp& warp, std::span<T> a, std::span<const T> b,
-                          std::span<T> scratch, const T& sentinel, Less less,
+                          std::span<T> scratch, Less less,
                           CostCategory category) {
-  const std::size_t half = NextPow2(a.size() > b.size() ? a.size() : b.size());
-  const std::size_t len = 2 * half;
+  const std::size_t len =
+      2 * NextPow2(a.size() > b.size() ? a.size() : b.size());
   GANNS_CHECK(scratch.size() >= len);
-  std::span<T> buffer = scratch.subspan(0, len);
-  // Layout: [a ascending, pad] [reverse(b) i.e. descending, pad-at-front]
-  // which forms a single bitonic (ascending-then-descending) sequence.
-  for (std::size_t i = 0; i < half; ++i) {
-    buffer[i] = i < a.size() ? a[i] : sentinel;
+  const double shared_access = warp.params().shared_access;
+  warp.cost().Charge(category, warp.StepsFor(len) * shared_access);
+  const double stage = warp.StepsFor(len / 2) * CompareExchangeCycles(warp.params());
+  for (std::size_t j = len >> 1; j > 0; j >>= 1) {
+    warp.cost().Charge(category, stage);
   }
-  for (std::size_t i = 0; i < half; ++i) {
-    const std::size_t src = half - 1 - i;  // reverse b into descending order
-    buffer[half + i] = src < b.size() ? b[src] : sentinel;
+  if (!b.empty()) {
+    std::size_t i = 0;
+    std::size_t j = 0;
+    for (std::size_t out = 0; out < a.size(); ++out) {
+      scratch[out] = j < b.size() && less(b[j], a[i]) ? b[j++] : a[i++];
+    }
+    std::copy_n(scratch.begin(), a.size(), a.begin());
   }
-  warp.cost().Charge(category,
-                     warp.StepsFor(len) * warp.params().shared_access);
-  BitonicMerge(warp, buffer, less, category);
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] = buffer[i];
-  warp.cost().Charge(category,
-                     warp.StepsFor(a.size()) * warp.params().shared_access);
+  warp.cost().Charge(category, warp.StepsFor(a.size()) * shared_access);
 }
 
 }  // namespace gpusim

@@ -1,9 +1,9 @@
 #ifndef GANNS_GPUSIM_GLOBAL_SORT_H_
 #define GANNS_GPUSIM_GLOBAL_SORT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
-#include <vector>
 
 #include "common/logging.h"
 #include "gpusim/bitonic.h"
@@ -18,41 +18,21 @@ namespace gpusim {
 /// global-memory stages, one kernel each.
 inline constexpr std::size_t kSortTile = 1024;
 
-namespace internal_global_sort {
-
-/// Executes the fused local sub-stages of one k-phase (all j < tile) for
-/// the block owning [begin, end).
-template <typename T, typename Less>
-void RunLocalSubstages(Warp& warp, std::span<T> data, std::size_t begin,
-                       std::size_t end, std::size_t k, std::size_t j_start,
-                       Less& less, CostCategory category) {
-  const double per_pair =
-      warp.params().alu_step + 2 * warp.params().shared_access;
-  for (std::size_t j = j_start; j > 0; j >>= 1) {
-    for (std::size_t i = begin; i < end; ++i) {
-      const std::size_t partner = i ^ j;
-      if (partner <= i) continue;
-      const bool ascending = (i & k) == 0;
-      if (less(data[partner], data[i]) == ascending) {
-        std::swap(data[i], data[partner]);
-      }
-    }
-    warp.cost().Charge(category, warp.StepsFor((end - begin) / 2) * per_pair);
-  }
-}
-
-}  // namespace internal_global_sort
-
 /// Multi-block bitonic sort over a global-memory array — the cross-block
 /// edge-list sort of Algorithm 2 step 2 ("we employ bitonic sorting to
-/// organize edges in E"), executed compare-exchange for compare-exchange.
+/// organize edges in E").
 ///
 /// `data.size()` must be a power of two (pad with a sentinel that sorts
-/// last). Each k-phase runs its j >= tile sub-stages as one global-memory
-/// kernel per j (pairs partition the index space, so blocks write disjoint
-/// locations), then fuses all j < tile sub-stages into a single
-/// shared-memory kernel per tile. With a strict weak order whose ties are
-/// broken to a total order, the output equals std::sort.
+/// last). The host sorts `data` once with std::sort; the device is charged
+/// the GPU network through the same launches the network runs in. Each
+/// k-phase launches its j >= tile sub-stages as one global-memory kernel per
+/// j (pairs partition the index space, so blocks write disjoint locations),
+/// then fuses all j < tile sub-stages into a single shared-memory kernel per
+/// tile. The launch bodies only charge, so launch overhead, the timeline, SM
+/// assignment and trace spans are those of the executed network
+/// (reference::GlobalBitonicSort in bitonic_reference.h, checked in
+/// tests/scan_sort_test.cc). With a strict weak order whose ties are broken
+/// to a total order, the output equals the network's.
 template <typename T, typename Less>
 void GlobalBitonicSort(Device& device, std::span<T> data, Less less,
                        int block_lanes, CostCategory category) {
@@ -61,35 +41,29 @@ void GlobalBitonicSort(Device& device, std::span<T> data, Less less,
                   "global bitonic sort length " << len
                                                 << " is not a power of two");
   if (len <= 1) return;
+  std::sort(data.begin(), data.end(), less);
+
   const std::size_t tile = len < kSortTile ? len : kSortTile;
   const int grid = static_cast<int>(len / tile);
+  // Two loads + two conditional stores per pair, coalesced across the warp,
+  // plus the compare.
+  const CostParams& cost = device.spec().cost;
   const double per_global_pair =
-      [](const CostParams& p) {
-        // Two loads + two conditional stores per pair, coalesced across the
-        // warp, plus the compare.
-        return p.alu_step + 4 * p.global_transaction / kWarpSize * 2;
-      }(device.spec().cost);
+      cost.alu_step + 4 * cost.global_transaction / kWarpSize * 2;
 
   for (std::size_t k = 2; k <= len; k <<= 1) {
     std::size_t j = k >> 1;
     // Global sub-stages: compare distance spans tiles.
     for (; j >= tile; j >>= 1) {
       device.Launch("gsort.global_stage", grid, block_lanes,
-                    [&, j, k](BlockContext& block) {
-        Warp& warp = block.warp();
+                    [&, j](BlockContext& block) {
+        // A pair (i, i ^ j) is owned by the block of its low index. The
+        // block is tile-aligned and j >= tile, so bit j is the same for
+        // every index of the block: it owns all of its pairs or none.
         const std::size_t begin =
             static_cast<std::size_t>(block.block_id()) * tile;
-        const std::size_t end = begin + tile;
-        std::size_t pairs = 0;
-        for (std::size_t i = begin; i < end; ++i) {
-          const std::size_t partner = i ^ j;
-          if (partner <= i) continue;  // owned by the block of the low index
-          ++pairs;
-          const bool ascending = (i & k) == 0;
-          if (less(data[partner], data[i]) == ascending) {
-            std::swap(data[i], data[partner]);
-          }
-        }
+        const std::size_t pairs = (begin & j) == 0 ? tile : 0;
+        Warp& warp = block.warp();
         warp.cost().Charge(category, warp.StepsFor(pairs) * per_global_pair);
       });
     }
@@ -98,14 +72,14 @@ void GlobalBitonicSort(Device& device, std::span<T> data, Less less,
     // remaining j, store back.
     const std::size_t j_start = j;
     device.Launch("gsort.local_stage", grid, block_lanes,
-                  [&, j_start, k](BlockContext& block) {
+                  [&, j_start](BlockContext& block) {
       Warp& warp = block.warp();
-      const std::size_t begin =
-          static_cast<std::size_t>(block.block_id()) * tile;
-      const std::size_t end = begin + tile;
       warp.ChargeGlobalLoad(2 * tile, category);  // tile load + store
-      internal_global_sort::RunLocalSubstages(warp, data, begin, end, k,
-                                              j_start, less, category);
+      const double stage =
+          warp.StepsFor(tile / 2) * CompareExchangeCycles(warp.params());
+      for (std::size_t jj = j_start; jj > 0; jj >>= 1) {
+        warp.cost().Charge(category, stage);
+      }
     });
   }
 }

@@ -105,14 +105,20 @@ class Warp {
   /// (__shfl_down_sync), all to kDistance. The caller computes the value.
   void ChargeDistance(std::size_t dim) {
     ChargeGlobalLoad(dim, CostCategory::kDistance);
-    const double fma_steps = StepsFor(dim);
-    const double reduce_steps =
-        num_lanes_ <= 1 ? 0.0
-                        : static_cast<double>(std::bit_width(
-                              static_cast<unsigned>(num_lanes_ - 1)));
     cost_->Charge(CostCategory::kDistance,
-                  fma_steps * params_->alu_step +
-                      reduce_steps * params_->shfl_step);
+                  StepsFor(dim) * params_->alu_step +
+                      ReduceSteps() * params_->shfl_step);
+  }
+
+  /// Charges `count` ChargeDistance(dim) calls in one addition. The cost
+  /// parameters are whole cycles, so every per-distance charge is an integer
+  /// and the product equals the repeated sum exactly (up to 2^53 cycles).
+  void ChargeDistances(std::size_t count, std::size_t dim) {
+    const double per_distance =
+        StepsFor(dim) * params_->global_transaction +
+        (StepsFor(dim) * params_->alu_step + ReduceSteps() * params_->shfl_step);
+    cost_->Charge(CostCategory::kDistance,
+                  static_cast<double>(count) * per_distance);
   }
 
   /// Compressed-code variant of ChargeDistance: an approximate distance over
@@ -123,13 +129,9 @@ class Warp {
   void ChargeCodeDistance(std::size_t code_bytes) {
     const std::size_t words = (code_bytes + 3) / 4;
     ChargeGlobalLoad(words, CostCategory::kDistance);
-    const double reduce_steps =
-        num_lanes_ <= 1 ? 0.0
-                        : static_cast<double>(std::bit_width(
-                              static_cast<unsigned>(num_lanes_ - 1)));
     cost_->Charge(CostCategory::kDistance,
                   StepsFor(words) * params_->alu_step +
-                      reduce_steps * params_->shfl_step);
+                      ReduceSteps() * params_->shfl_step);
   }
 
   /// One-time per-query LUT construction for PQ asymmetric distances:
@@ -147,6 +149,13 @@ class Warp {
   const CostParams& params() const { return *params_; }
 
  private:
+  /// log2(n_t) __shfl_down_sync steps of a warp-wide partial-sum reduction.
+  double ReduceSteps() const {
+    return num_lanes_ <= 1 ? 0.0
+                           : static_cast<double>(std::bit_width(
+                                 static_cast<unsigned>(num_lanes_ - 1)));
+  }
+
   int num_lanes_;
   CostModel* cost_;
   const CostParams* params_ = &kDefaultParams;

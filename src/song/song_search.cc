@@ -201,7 +201,7 @@ std::vector<graph::Neighbor> SongSearchOne(
     // Stage 2: bulk distance computation (all lanes cooperate per point;
     // partial sums combine via __shfl_xor_sync). The staged candidates are
     // already contiguous, so the whole batch goes through the SIMD distance
-    // layer in one call; per-point simulated charges are unchanged.
+    // layer in one call and is charged as num_cand per-point costs at once.
     if (num_cand > 0) {
       if (quantized) {
         for (std::size_t i = 0; i < num_cand; ++i) {
@@ -212,10 +212,8 @@ std::vector<graph::Neighbor> SongSearchOne(
       } else {
         data::DistanceMany(base, cand.subspan(0, num_cand), query,
                            cand_dist.subspan(0, num_cand));
-        for (std::size_t i = 0; i < num_cand; ++i) {
-          warp.ChargeDistance(base.dim());
-          ++local.distance_computations;
-        }
+        warp.ChargeDistances(num_cand, base.dim());
+        local.distance_computations += num_cand;
       }
     }
     stages.End(1);
@@ -259,7 +257,7 @@ std::vector<graph::Neighbor> SongSearchOne(
     // candidates (full-width reads, charged like exact distances).
     const std::size_t evals =
         graph::ExactRerank(base, query, sorted, params.k, quant->rerank_factor);
-    for (std::size_t i = 0; i < evals; ++i) warp.ChargeDistance(base.dim());
+    warp.ChargeDistances(evals, base.dim());
     local.distance_computations += evals;
   }
   if (sorted.size() > params.k) sorted.resize(params.k);

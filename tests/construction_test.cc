@@ -9,6 +9,7 @@
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
+#include "golden_digest.h"
 
 namespace ganns {
 namespace core {
@@ -210,6 +211,44 @@ TEST_F(ConstructionTest, QualityTheoremExactEquivalenceOnSmallCorpus) {
   // Allow a tiny tolerance: beam search exactness on a small NSW graph can
   // fail for a handful of points whose greedy path dead-ends.
   EXPECT_LE(mismatched_rows, n / 20);
+}
+
+// Cross-commit golden for GGraphCon with both embedded search kernels:
+// simulated seconds, data-structure work cycles and every adjacency row
+// (ids and edge lengths), recorded from the implementation that executed
+// the bitonic networks. The host fast paths must reproduce them exactly.
+TEST_F(ConstructionTest, GGraphConMatchesRecordedGolden) {
+  struct BuildGolden {
+    SearchKernel kernel;
+    double sim_seconds;
+    double ds_work_cycles;
+    std::uint64_t rows_digest;
+  };
+  const BuildGolden kGolden[] = {
+      {SearchKernel::kGanns, 0x1.1ce09c9e97ec5p-8, 0x1.ae162p+23, 0x4efa8610ff5eee99ull},
+      {SearchKernel::kSong, 0x1.2d607c52c80a3p-7, 0x1.3128b1cp+27, 0x4efa8610ff5eee99ull},
+  };
+  for (const BuildGolden& golden : kGolden) {
+    SCOPED_TRACE(::testing::Message()
+                 << "kernel " << static_cast<int>(golden.kernel));
+    GpuBuildParams params;
+    params.num_groups = 10;
+    params.kernel = golden.kernel;
+    gpusim::Device device;
+    const GpuBuildResult built = BuildNswGGraphCon(device, *base_, params);
+    GoldenDigest rows;
+    for (VertexId v = 0; v < built.graph.num_vertices(); ++v) {
+      const std::size_t degree = built.graph.Degree(v);
+      rows.Add(degree);
+      for (std::size_t i = 0; i < degree; ++i) {
+        rows.Add(built.graph.Neighbors(v)[i]);
+        rows.AddFloat(built.graph.NeighborDists(v)[i]);
+      }
+    }
+    EXPECT_EQ(built.sim_seconds, golden.sim_seconds);
+    EXPECT_EQ(built.ds_work_cycles, golden.ds_work_cycles);
+    EXPECT_EQ(rows.value(), golden.rows_digest);
+  }
 }
 
 }  // namespace

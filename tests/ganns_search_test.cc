@@ -2,6 +2,7 @@
 // result invariants, parameter effects (l_n, e), the lazy-check behaviour,
 // determinism, and the cost-model properties the paper's analysis predicts.
 
+#include <array>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include "data/ground_truth.h"
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
+#include "golden_digest.h"
 
 namespace ganns {
 namespace core {
@@ -226,6 +228,85 @@ TEST_F(GannsSearchTest, RejectsInvalidParameters) {
   EXPECT_DEATH(GannsSearchOne(block, built_->graph, *base_,
                               queries_->Point(0), params, 0),
                "power of two");
+}
+
+TEST(GannsParamsTest, ValidateNamesFieldValueAndRange) {
+  GannsParams params;
+  EXPECT_FALSE(params.Validate().has_value());  // defaults: k 10, l_n 64
+  params.l_n = 100;
+  EXPECT_EQ(params.Validate(),
+            "invalid l_n = 100: must be a power of two >= k (k = 10)");
+  params.l_n = 8;
+  EXPECT_EQ(params.Validate(),
+            "invalid l_n = 8: must be a power of two >= k (k = 10)");
+  params.l_n = 16;
+  EXPECT_FALSE(params.Validate().has_value());
+  params.k = 0;
+  EXPECT_EQ(params.Validate(), "invalid k = 0: must be >= 1");
+}
+
+// ---- Cross-commit golden: the kernel's exact outputs. ----
+//
+// Result ids and per-phase cycles of every query, for three budgets with the
+// lazy check on and off, recorded from the implementation that executed the
+// bitonic networks compare-exchange for compare-exchange. The host fast
+// paths must reproduce them bit for bit, including the lazy-off ablation,
+// whose tie order no other test pins.
+
+struct KernelGolden {
+  std::size_t l_n;
+  bool lazy_check;
+  std::uint64_t ids_digest;
+  std::uint64_t phase_digest;
+  double sim_cycles;
+  std::array<double, kNumGannsPhases> phase_sums;
+};
+
+TEST_F(GannsSearchTest, KernelOutputsMatchRecordedGolden) {
+  const KernelGolden kGolden[] = {
+      {32, true, 0x7e39815cd97cc619ull, 0xb4ba1e4fe0cd8143ull, 0x1.711ap+15,
+       {0x1.9p+10, 0x1.248p+13, 0x1.fe442p+19, 0x1.6dap+14, 0x1.c908p+16, 0x1.b6cp+15}},
+      {32, false, 0x58b3eb2c0335c41eull, 0x4a05caf52e3d307dull, 0x1.2e8ap+15,
+       {0x1.71cp+10, 0x1.0ddp+13, 0x1.f221ep+19, 0x0p+0, 0x1.a595p+16, 0x1.94b8p+15}},
+      {64, true, 0x768a4651d665e846ull, 0xf0fb81d10c58b229ull, 0x1.65efp+16,
+       {0x1.045p+12, 0x1.09c8p+14, 0x1.c8545p+20, 0x1.8eacp+15, 0x1.9f488p+17, 0x1.c60bp+17}},
+      {64, false, 0x58b3eb2c0335c41eull, 0xf759c5305301c08aull, 0x1.3353p+16,
+       {0x1.bbcp+11, 0x1.029p+14, 0x1.db721p+20, 0x0p+0, 0x1.9401p+17, 0x1.b9b6p+17}},
+      {128, true, 0x0463e467539ce179ull, 0x9856b5fab9852859ull, 0x1.8f0f8p+17,
+       {0x1.979p+13, 0x1.008p+15, 0x1.a9dd18p+21, 0x1.c0ep+16, 0x1.90c8p+18, 0x1.ebap+19}},
+      {128, false, 0x58b3eb2c0335c41eull, 0x32cb7d036b7664a5ull, 0x1.600a8p+17,
+       {0x1.56c8p+13, 0x1.fc38p+14, 0x1.d23ddp+21, 0x0p+0, 0x1.8d0bcp+18, 0x1.e70bp+19}},
+  };
+  for (const KernelGolden& golden : kGolden) {
+    SCOPED_TRACE(::testing::Message() << "l_n " << golden.l_n << " lazy check "
+                                      << golden.lazy_check);
+    GannsParams params;
+    params.k = 10;
+    params.l_n = golden.l_n;
+    params.disable_lazy_check = !golden.lazy_check;
+    std::vector<GannsQueryProfile> profiles;
+    const auto batch = GannsSearchBatch(device_, built_->graph, *base_,
+                                        *queries_, params, 32, 0, &profiles);
+    GoldenDigest ids;
+    for (const auto& row : batch.results) {
+      ids.Add(row.size());
+      for (VertexId id : row) ids.Add(id);
+    }
+    GoldenDigest phases;
+    std::array<double, kNumGannsPhases> sums{};
+    for (const GannsQueryProfile& profile : profiles) {
+      for (int i = 0; i < kNumGannsPhases; ++i) {
+        phases.AddDouble(profile.phase_cycles[i]);
+        sums[i] += profile.phase_cycles[i];
+      }
+    }
+    EXPECT_EQ(ids.value(), golden.ids_digest);
+    EXPECT_EQ(phases.value(), golden.phase_digest);
+    EXPECT_EQ(batch.kernel.sim_cycles, golden.sim_cycles);
+    for (int i = 0; i < kNumGannsPhases; ++i) {
+      EXPECT_EQ(sums[i], golden.phase_sums[i]) << GannsPhaseName(i);
+    }
+  }
 }
 
 }  // namespace

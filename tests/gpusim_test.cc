@@ -1,8 +1,10 @@
 // Unit and property tests for the SIMT simulator substrate: warp
 // primitives, cost accounting, shared-memory limits, device scheduling, and
-// the bitonic sort/merge networks.
+// the bitonic sort/merge primitives, including differential tests of their
+// host fast paths against the executed networks.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -10,6 +12,7 @@
 
 #include "common/random.h"
 #include "gpusim/bitonic.h"
+#include "gpusim/bitonic_reference.h"
 #include "gpusim/block.h"
 #include "gpusim/device.h"
 #include "gpusim/warp.h"
@@ -210,9 +213,14 @@ TEST_P(BitonicSortProperty, SortsExactlyLikeStdSort) {
               [](std::uint64_t a, std::uint64_t b) { return a < b; },
               CostCategory::kDataStructure);
   EXPECT_EQ(values, expected);
-  if (size > 1) {
-    EXPECT_GT(cost.cycles(CostCategory::kDataStructure), 0);
-  }
+  // Closed form: log2(L)*(log2(L)+1)/2 stages, each a lane-strided pass over
+  // the L/2 compare-exchange pairs.
+  const double log_len = std::bit_width(size) - 1;
+  const double stages = log_len * (log_len + 1) / 2;
+  const double per_pair =
+      warp.params().alu_step + 2 * warp.params().shared_access;
+  EXPECT_EQ(cost.cycles(CostCategory::kDataStructure),
+            stages * warp.StepsFor(size / 2) * per_pair);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -258,10 +266,9 @@ TEST_P(BitonicMergeProperty, MergeKeepsSmallestInA) {
   Warp warp(32, &cost);
   std::vector<std::uint64_t> scratch(
       2 * NextPow2(std::max(a_size, b_size)));
-  constexpr std::uint64_t kSentinel = ~std::uint64_t{0};
   MergeSortedKeepFirst(warp, std::span<std::uint64_t>(a),
                        std::span<const std::uint64_t>(b),
-                       std::span<std::uint64_t>(scratch), kSentinel,
+                       std::span<std::uint64_t>(scratch),
                        [](std::uint64_t x, std::uint64_t y) { return x < y; },
                        CostCategory::kDataStructure);
   EXPECT_EQ(a, merged);
@@ -282,10 +289,165 @@ TEST(BitonicMergeTest, EmptyBLeavesAUntouched) {
   std::vector<int> b;
   std::vector<int> scratch(8, 0);
   MergeSortedKeepFirst(warp, std::span<int>(a), std::span<const int>(b),
-                       std::span<int>(scratch), 1 << 30,
+                       std::span<int>(scratch),
                        [](int x, int y) { return x < y; },
                        CostCategory::kOther);
   EXPECT_EQ(a, (std::vector<int>{1, 2, 3, 4}));
+}
+
+// ---- Differential tests: host fast paths vs the executed networks. ----
+//
+// The fast paths must produce the network's output array and charge exactly
+// the network's cycles, category by category (compared with ==, not within
+// a tolerance).
+
+void ExpectSameCycles(const CostModel& fast, const CostModel& reference) {
+  for (int c = 0; c < kNumCostCategories; ++c) {
+    const auto category = static_cast<CostCategory>(c);
+    EXPECT_EQ(fast.cycles(category), reference.cycles(category))
+        << "category " << c;
+  }
+}
+
+/// An element whose sort key can tie while the payload is a function of the
+/// key, so elements with equal keys are identical.
+struct Tagged {
+  std::uint32_t key = 0;
+  std::uint32_t payload = 0;
+  bool operator==(const Tagged&) const = default;
+};
+
+Tagged MakeTagged(std::uint32_t key) { return {key, key * 2654435761u}; }
+
+bool TaggedLess(const Tagged& a, const Tagged& b) { return a.key < b.key; }
+
+bool U64Less(std::uint64_t a, std::uint64_t b) { return a < b; }
+
+class BitonicDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(BitonicDifferential, SortMatchesNetworkAtEveryPowerOfTwo) {
+  const int lanes = GetParam();
+  for (std::size_t size = 1; size <= 1024; size *= 2) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "size " << size << " seed " << seed);
+      Rng rng(seed * 131 + size);
+      // Keys drawn from a range a quarter the length: many duplicates.
+      std::vector<std::uint64_t> values(size);
+      std::vector<Tagged> tagged(size);
+      for (std::size_t i = 0; i < size; ++i) {
+        values[i] = rng.NextBounded(size / 4 + 1);
+        tagged[i] = MakeTagged(static_cast<std::uint32_t>(
+            rng.NextBounded(size / 4 + 1)));
+      }
+      std::vector<std::uint64_t> values_ref = values;
+      std::vector<Tagged> tagged_ref = tagged;
+
+      CostModel fast_cost;
+      CostModel ref_cost;
+      Warp fast(lanes, &fast_cost);
+      Warp ref(lanes, &ref_cost);
+      BitonicSort(fast, std::span<std::uint64_t>(values), U64Less,
+                  CostCategory::kDataStructure);
+      reference::BitonicSort(ref, std::span<std::uint64_t>(values_ref),
+                             U64Less, CostCategory::kDataStructure);
+      BitonicSort(fast, std::span<Tagged>(tagged), TaggedLess,
+                  CostCategory::kOther);
+      reference::BitonicSort(ref, std::span<Tagged>(tagged_ref), TaggedLess,
+                             CostCategory::kOther);
+      EXPECT_EQ(values, values_ref);
+      EXPECT_EQ(tagged, tagged_ref);
+      ExpectSameCycles(fast_cost, ref_cost);
+    }
+  }
+}
+
+TEST_P(BitonicDifferential, MergeMatchesNetworkForUnequalAndEmptyInputs) {
+  const int lanes = GetParam();
+  struct Sizes {
+    std::size_t a;
+    std::size_t b;
+  };
+  const Sizes cases[] = {{0, 3},   {1, 0},    {4, 0},   {64, 0},  {1, 1},
+                         {1, 5},   {5, 1},    {8, 8},   {16, 3},  {31, 64},
+                         {32, 17}, {64, 64},  {64, 32}, {100, 37}, {128, 64},
+                         {64, 128}, {256, 33}, {512, 64}};
+  for (const Sizes& sizes : cases) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(::testing::Message() << "|a| " << sizes.a << " |b| "
+                                        << sizes.b << " seed " << seed);
+      Rng rng(seed * 977 + sizes.a * 31 + sizes.b);
+      const std::size_t range = (sizes.a + sizes.b) / 3 + 1;
+      constexpr std::uint64_t kSentinel = ~std::uint64_t{0};
+      std::vector<std::uint64_t> a(sizes.a);
+      std::vector<std::uint64_t> b(sizes.b);
+      std::vector<Tagged> ta(sizes.a);
+      std::vector<Tagged> tb(sizes.b);
+      for (auto& v : a) v = rng.NextBounded(range);
+      for (auto& v : b) v = rng.NextBounded(range);
+      for (auto& v : ta) v = MakeTagged(static_cast<std::uint32_t>(rng.NextBounded(range)));
+      for (auto& v : tb) v = MakeTagged(static_cast<std::uint32_t>(rng.NextBounded(range)));
+      // A sentinel-padded tail in a, as the search kernel's N carries.
+      for (std::size_t i = sizes.a - sizes.a / 4; i < sizes.a; ++i) {
+        a[i] = kSentinel;
+      }
+      std::sort(a.begin(), a.end());
+      std::sort(b.begin(), b.end());
+      std::sort(ta.begin(), ta.end(), TaggedLess);
+      std::sort(tb.begin(), tb.end(), TaggedLess);
+      std::vector<std::uint64_t> a_ref = a;
+      std::vector<Tagged> ta_ref = ta;
+
+      const std::size_t slots =
+          2 * NextPow2(std::max(sizes.a, sizes.b));
+      std::vector<std::uint64_t> scratch(slots);
+      std::vector<Tagged> tscratch(slots);
+      CostModel fast_cost;
+      CostModel ref_cost;
+      Warp fast(lanes, &fast_cost);
+      Warp ref(lanes, &ref_cost);
+      MergeSortedKeepFirst(fast, std::span<std::uint64_t>(a),
+                           std::span<const std::uint64_t>(b),
+                           std::span<std::uint64_t>(scratch), U64Less,
+                           CostCategory::kDataStructure);
+      reference::MergeSortedKeepFirst(
+          ref, std::span<std::uint64_t>(a_ref),
+          std::span<const std::uint64_t>(b), std::span<std::uint64_t>(scratch),
+          kSentinel, U64Less, CostCategory::kDataStructure);
+      MergeSortedKeepFirst(fast, std::span<Tagged>(ta),
+                           std::span<const Tagged>(tb),
+                           std::span<Tagged>(tscratch), TaggedLess,
+                           CostCategory::kOther);
+      reference::MergeSortedKeepFirst(
+          ref, std::span<Tagged>(ta_ref), std::span<const Tagged>(tb),
+          std::span<Tagged>(tscratch), Tagged{~0u, ~0u}, TaggedLess,
+          CostCategory::kOther);
+      EXPECT_EQ(a, a_ref);
+      EXPECT_EQ(ta, ta_ref);
+      ExpectSameCycles(fast_cost, ref_cost);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Lanes, BitonicDifferential,
+                         ::testing::Values(1, 4, 32));
+
+TEST(WarpTest, ChargeDistancesEqualsRepeatedChargeDistance) {
+  for (const int lanes : {1, 4, 32}) {
+    for (const std::size_t dim : {1u, 32u, 100u, 128u, 200u, 960u}) {
+      CostModel batched_cost;
+      CostModel looped_cost;
+      Warp batched(lanes, &batched_cost);
+      Warp looped(lanes, &looped_cost);
+      // A running total already present, as inside a search.
+      batched.ChargeGlobalLoad(17, CostCategory::kDistance);
+      looped.ChargeGlobalLoad(17, CostCategory::kDistance);
+      for (const std::size_t count : {0u, 1u, 7u, 64u, 1000u}) {
+        batched.ChargeDistances(count, dim);
+        for (std::size_t i = 0; i < count; ++i) looped.ChargeDistance(dim);
+        ExpectSameCycles(batched_cost, looped_cost);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,17 +1,22 @@
 // Property tests for the multi-block device algorithms: the work-efficient
 // parallel prefix sum and the cross-block global bitonic sort, validated
-// against the serial references.
+// against the serial references, plus a differential test of the global
+// sort's host fast path against the executed network.
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/prefix_sum.h"
 #include "common/random.h"
+#include "gpusim/bitonic_reference.h"
 #include "gpusim/device.h"
 #include "gpusim/global_sort.h"
 #include "gpusim/scan.h"
+#include "obs/trace.h"
 
 namespace ganns {
 namespace gpusim {
@@ -135,6 +140,98 @@ TEST(GlobalSortTest, MoreBlocksReduceSimTimeOfLargeSorts) {
   EXPECT_EQ(a, b);
   EXPECT_GT(narrow.timeline_cycles(), 2 * wide.timeline_cycles());
 }
+
+/// An edge-like element sorted by `from` only, with the rest of the element
+/// a function of `from`: equal keys are identical elements.
+struct KeyedEdge {
+  std::uint32_t from = 0;
+  std::uint32_t to = 0;
+  float dist = 0;
+  bool operator==(const KeyedEdge&) const = default;
+};
+
+KeyedEdge MakeKeyedEdge(std::uint32_t from) {
+  return {from, from ^ 0x5bd1e995u, static_cast<float>(from % 97) * 0.25f};
+}
+
+/// Everything a launch sequence leaves on the device: the sorted data, the
+/// timeline in cycles and per category, the per-SM busy cycles, and the
+/// recorded kernel and block spans.
+struct SortRun {
+  std::vector<KeyedEdge> data;
+  double timeline_cycles = 0;
+  std::vector<double> work;
+  std::vector<double> sm_cycles;
+  std::size_t launches = 0;
+  std::string trace_json;
+};
+
+template <typename Sort>
+SortRun RunTracedSort(std::vector<KeyedEdge> data, int block_lanes,
+                      Sort sort) {
+  obs::TraceRecorder::Global().Clear();
+  Device device;
+  device.ResetTimeline();
+  sort(device, std::span<KeyedEdge>(data), block_lanes);
+  SortRun run;
+  run.data = std::move(data);
+  run.timeline_cycles = device.timeline_cycles();
+  for (int c = 0; c < kNumCostCategories; ++c) {
+    run.work.push_back(device.timeline_work(static_cast<CostCategory>(c)));
+  }
+  run.sm_cycles.assign(device.sm_cycles().begin(), device.sm_cycles().end());
+  for (const obs::TraceEvent& event : obs::TraceRecorder::Global().Snapshot()) {
+    if (event.tid == obs::kKernelTrack) ++run.launches;
+  }
+  run.trace_json = obs::TraceRecorder::Global().ToJson();
+  obs::TraceRecorder::Global().Clear();
+  return run;
+}
+
+class GlobalSortDifferential : public ::testing::TestWithParam<int> {};
+
+TEST_P(GlobalSortDifferential, MatchesExecutedNetworkAcrossTileBoundary) {
+  const int block_lanes = GetParam();
+  const bool was_tracing = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  const auto less = [](const KeyedEdge& a, const KeyedEdge& b) {
+    return a.from < b.from;
+  };
+  // 2 .. 16384 crosses kSortTile = 1024: from 2048 on, global stages run.
+  for (std::size_t len = 2; len <= 16384; len *= 2) {
+    SCOPED_TRACE(::testing::Message() << "length " << len);
+    Rng rng(len + static_cast<std::size_t>(block_lanes));
+    std::vector<KeyedEdge> input(len);
+    for (auto& e : input) {
+      e = MakeKeyedEdge(static_cast<std::uint32_t>(rng.NextBounded(len / 3 + 1)));
+    }
+    const SortRun fast = RunTracedSort(
+        input, block_lanes,
+        [&](Device& device, std::span<KeyedEdge> data, int lanes) {
+          GlobalBitonicSort(device, data, less, lanes,
+                            CostCategory::kDataStructure);
+        });
+    const SortRun ref = RunTracedSort(
+        input, block_lanes,
+        [&](Device& device, std::span<KeyedEdge> data, int lanes) {
+          reference::GlobalBitonicSort(device, data, less, lanes,
+                                       CostCategory::kDataStructure);
+        });
+    EXPECT_EQ(fast.data, ref.data);
+    EXPECT_EQ(fast.timeline_cycles, ref.timeline_cycles);
+    EXPECT_EQ(fast.work, ref.work);
+    EXPECT_EQ(fast.sm_cycles, ref.sm_cycles);
+    if (obs::TracingCompiledIn()) {
+      EXPECT_GT(fast.launches, 0u);
+      EXPECT_EQ(fast.launches, ref.launches);
+      EXPECT_EQ(fast.trace_json, ref.trace_json);
+    }
+  }
+  obs::SetTracingEnabled(was_tracing);
+}
+
+INSTANTIATE_TEST_SUITE_P(BlockLanes, GlobalSortDifferential,
+                         ::testing::Values(4, 32));
 
 }  // namespace
 }  // namespace gpusim

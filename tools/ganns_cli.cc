@@ -150,6 +150,7 @@
 #include "data/io.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
+#include "gpusim/bitonic.h"
 #include "graph/diagnostics.h"
 #include "obs/alerts.h"
 #include "obs/federation.h"
@@ -321,6 +322,21 @@ int CmdBuild(const Args& args) {
 }
 
 int CmdSearch(const Args& args) {
+  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
+  core::GannsParams params;
+  params.k = k;
+  params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
+  params.e = static_cast<std::size_t>(args.Int("e", 0));
+  // Without --ln, GannsIndex::Search raises the default budget for k > 64;
+  // an explicit --ln must already be valid for --k.
+  if (!args.Get("ln").has_value() && params.l_n < k) {
+    params.l_n = gpusim::NextPow2(4 * k);
+  }
+  if (const auto error = params.Validate()) {
+    std::fprintf(stderr, "%s\n", error->c_str());
+    return 2;
+  }
+
   const data::Metric metric = ParseMetric(args);
   data::Dataset base = LoadFvecsOrDie(args.Require("base"), "base", metric);
   const data::Dataset queries =
@@ -342,11 +358,6 @@ int CmdSearch(const Args& args) {
                 index->quantizer()->code_bytes(),
                 index->quantizer()->rerank_factor());
   }
-
-  const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
-  core::GannsParams params;
-  params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
-  params.e = static_cast<std::size_t>(args.Int("e", 0));
 
   const auto trace_out = args.Get("trace-out");
   if (trace_out.has_value()) {
@@ -427,6 +438,16 @@ int CmdProfile(const Args& args) {
   const std::uint64_t seed = static_cast<std::uint64_t>(args.Int("seed", 1));
   const std::size_t k = static_cast<std::size_t>(args.Int("k", 10));
   const std::string algo = args.Get("algo").value_or("ganns");
+  core::GannsParams ganns_params;
+  ganns_params.k = k;
+  ganns_params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
+  ganns_params.e = static_cast<std::size_t>(args.Int("e", 0));
+  if (algo == "ganns") {
+    if (const auto error = ganns_params.Validate()) {
+      std::fprintf(stderr, "%s\n", error->c_str());
+      return 2;
+    }
+  }
 
   if (!obs::TracingCompiledIn()) {
     std::fprintf(stderr,
@@ -487,13 +508,9 @@ int CmdProfile(const Args& args) {
     }
     std::printf("\n");
   } else if (algo == "ganns") {
-    core::GannsParams params;
-    params.k = k;
-    params.l_n = static_cast<std::size_t>(args.Int("ln", 64));
-    params.e = static_cast<std::size_t>(args.Int("e", 0));
     std::vector<core::GannsQueryProfile> profiles;
-    batch = core::GannsSearchBatch(device, built.graph, base, queries, params,
-                                   32, 0, &profiles);
+    batch = core::GannsSearchBatch(device, built.graph, base, queries,
+                                   ganns_params, 32, 0, &profiles);
     double total = 0;
     std::array<double, core::kNumGannsPhases> phase{};
     std::uint64_t hops = 0, dists = 0, redundant = 0;
