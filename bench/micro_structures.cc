@@ -2,7 +2,8 @@
 // relative host-time costs underlie the cost model: the serial heap/hash
 // operations SONG's host lane executes vs. the data-parallel bitonic
 // networks GANNS uses (host fast paths beside the executed reference
-// networks they replace), plus the raw distance kernel. These measure *host*
+// networks they replace), the raw distance kernel, and one whole GANNS query
+// (host fast path beside the literal kernel). These measure *host*
 // nanoseconds (not simulated cycles): they document that the structures
 // behave as designed, independent of the cost model.
 
@@ -11,10 +12,14 @@
 #include <vector>
 
 #include "common/random.h"
+#include "core/ganns_search.h"
+#include "core/ganns_search_reference.h"
 #include "data/dataset.h"
+#include "data/synthetic.h"
 #include "gpusim/bitonic.h"
 #include "gpusim/bitonic_reference.h"
 #include "gpusim/warp.h"
+#include "graph/cpu_nsw.h"
 #include "song/bounded_max_heap.h"
 #include "song/minmax_heap.h"
 #include "song/open_hash.h"
@@ -165,6 +170,53 @@ void BM_ExactDistance(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * dim);
 }
 BENCHMARK(BM_ExactDistance)->Arg(32)->Arg(128)->Arg(960);
+
+/// One fixed NSW graph (2000 SIFT-shaped points, d_max 32) and 64 queries,
+/// built on first use.
+struct SearchFixture {
+  data::Dataset base =
+      data::GenerateBase(data::PaperDataset("SIFT1M"), 2000, 7);
+  data::Dataset queries =
+      data::GenerateQueries(data::PaperDataset("SIFT1M"), 64, 2000, 7);
+  graph::ProximityGraph graph = graph::BuildNswCpu(base, {}).graph;
+
+  static const SearchFixture& Get() {
+    static const SearchFixture fixture;
+    return fixture;
+  }
+};
+
+/// One GANNS query per iteration (cycling through the queries) at
+/// l_n = state.range(0) with `search`.
+template <typename Search>
+void RunGannsSearch(benchmark::State& state, Search search) {
+  const SearchFixture& fixture = SearchFixture::Get();
+  core::GannsParams params;
+  params.l_n = static_cast<std::size_t>(state.range(0));
+  const gpusim::CostParams cost;
+  std::size_t q = 0;
+  for (auto _ : state) {
+    gpusim::BlockContext block(0, 32, 48 * 1024, &cost);
+    benchmark::DoNotOptimize(
+        search(block, fixture.graph, fixture.base,
+               fixture.queries.Point(static_cast<VertexId>(q)), params,
+               VertexId{0}, nullptr, nullptr, nullptr, nullptr));
+    q = (q + 1) % fixture.queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+// The production kernel: each vertex's distance computed once per query.
+void BM_GannsSearchOne(benchmark::State& state) {
+  RunGannsSearch(state, core::GannsSearchOne);
+}
+BENCHMARK(BM_GannsSearchOne)->Arg(32)->Arg(128)->Arg(512);
+
+// The literal kernel it is verified against.
+void BM_GannsSearchOneReference(benchmark::State& state) {
+  RunGannsSearch(state, core::reference::GannsSearchOne);
+}
+BENCHMARK(BM_GannsSearchOneReference)->Arg(32)->Arg(128)->Arg(512);
 
 }  // namespace
 }  // namespace ganns

@@ -1,7 +1,9 @@
 #ifndef GANNS_COMMON_SCRATCH_H_
 #define GANNS_COMMON_SCRATCH_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -54,12 +56,46 @@ struct SearchScratch {
   std::vector<std::pair<Dist, VertexId>> heap;
 };
 
+/// Per-thread table indexed by vertex id that remembers, for the current
+/// query only, which vertices a search kernel has touched: the iteration
+/// that first saw each one and how many copies of it sit in the kernel's
+/// result array. The GANNS host fast path (core/ganns_search.cc) uses it to
+/// compute each vertex's distance once per query. An entry belongs to the
+/// current query only while its stamp equals the table's, so starting a
+/// query clears nothing.
+struct QueryVertexMemo {
+  struct Entry {
+    std::uint32_t stamp = 0;
+    std::uint32_t iteration = 0;
+    std::uint32_t in_result = 0;
+  };
+
+  std::vector<Entry> entries;
+  std::uint32_t stamp = 0;
+
+  /// Starts a query over vertex ids < num_vertices; returns its stamp.
+  std::uint32_t BeginQuery(std::size_t num_vertices) {
+    if (entries.size() < num_vertices) entries.resize(num_vertices);
+    if (++stamp == 0) {  // wrapped: forget every earlier query
+      std::fill(entries.begin(), entries.end(), Entry{});
+      stamp = 1;
+    }
+    return stamp;
+  }
+};
+
 /// This thread's scratch instance. Distinct nested users on one thread must
 /// not pass it across calls that also use it (the hot loops here use it
 /// strictly leaf-level).
 inline SearchScratch& ThreadLocalSearchScratch() {
   thread_local SearchScratch scratch;
   return scratch;
+}
+
+/// This thread's vertex memo (one search kernel at a time per thread).
+inline QueryVertexMemo& ThreadLocalQueryVertexMemo() {
+  thread_local QueryVertexMemo memo;
+  return memo;
 }
 
 }  // namespace ganns

@@ -110,9 +110,9 @@ std::vector<graph::Neighbor> EagerSearchOne(
       scratch.dists.resize(degree);
       data::DistanceMany(base, neighbor_ids.subspan(0, degree), query,
                          scratch.dists);
+      warp.ChargeDistances(degree, base.dim());
+      local.distance_computations += degree;
       for (std::size_t i = 0; i < degree; ++i) {
-        warp.ChargeDistance(base.dim());
-        ++local.distance_computations;
         insert_eagerly(Slot{scratch.dists[i], neighbor_ids[i], false});
       }
     }

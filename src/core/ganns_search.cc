@@ -1,11 +1,12 @@
 #include "core/ganns_search.h"
 
-#include <bit>
-
+#include <algorithm>
 #include <optional>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/scratch.h"
+#include "core/ganns_search_reference.h"
 #include "data/distance.h"
 #include "gpusim/bitonic.h"
 #include "gpusim/bitonic_reference.h"
@@ -101,78 +102,72 @@ const char* GannsPhaseName(int phase) {
   return kPhaseNames[phase];
 }
 
-std::vector<graph::Neighbor> GannsSearchOne(
-    gpusim::BlockContext& block, const graph::ProximityGraph& graph,
-    const data::Dataset& base, std::span<const float> query,
-    const GannsParams& params, VertexId entry, GannsSearchStats* stats,
-    GannsQueryProfile* profile, const data::SearchQuantization* quant,
-    graph::QueryHardness* hardness) {
-  GANNS_CHECK(params.k >= 1);
-  GANNS_CHECK(params.l_n >= params.k);
-  GANNS_CHECK_MSG((params.l_n & (params.l_n - 1)) == 0,
-                  "l_n must be a power of two, got " << params.l_n);
-  GANNS_CHECK(entry < graph.num_vertices());
-  gpusim::Warp& warp = block.warp();
-  GannsSearchStats local;
+namespace {
 
-  const std::size_t l_n = params.l_n;
-  const std::size_t l_t = gpusim::NextPow2(graph.d_max());
-  const std::size_t e = params.EffectiveE();
+/// State one search call shares between its set-up, its iteration loop and
+/// its result write-back.
+struct KernelState {
+  gpusim::Warp& warp;
+  const graph::ProximityGraph& graph;
+  const data::Dataset& base;
+  std::span<const float> query;
+  const GannsParams& params;
+  std::size_t l_n;
+  std::size_t l_t;
+  std::size_t e;
+  std::span<Slot> result_array;   // N
+  std::span<Slot> visiting;       // T
+  std::span<Slot> merge_scratch;
+  /// Non-null on the compressed path: in-loop distances are code distances.
+  const data::CodeDistanceContext* code_ctx;
+  graph::QueryHardness* hardness;
+  PhaseTimer& phases;
+  GannsSearchStats& local;
+};
 
-  // Shared-memory arrays (§III-B "Data Structures and Memory Allocation"):
-  // N holds the top results and potential exploring vertices, T the visiting
-  // vertices of the current iteration.
-  std::span<Slot> result_array = block.AllocShared<Slot>(l_n);    // N
-  std::span<Slot> visiting = block.AllocShared<Slot>(l_t);        // T
-  std::span<Slot> merge_scratch = block.AllocShared<Slot>(
-      2 * gpusim::NextPow2(l_n > l_t ? l_n : l_t));
-
-  // Compressed path: in-loop distances come from the packed codes (narrower
-  // loads); the PQ LUT is built — and charged — once per query up front.
-  const bool quantized = quant != nullptr && quant->enabled();
-  std::optional<data::CodeDistanceContext> code_ctx;
-  if (quantized) {
-    code_ctx.emplace(*quant, base.metric(), query);
-    warp.ChargeLutBuild(code_ctx->lut_build_words());
+/// Phase (1): candidate locating. Warp-wide ballot over the explored flags
+/// of N[0..e), __ffs picks the first unexplored vertex. Returns e when every
+/// candidate is explored.
+std::size_t LocateCandidate(const KernelState& s) {
+  for (std::size_t chunk = 0; chunk < s.e; chunk += gpusim::kWarpSize) {
+    const int n = static_cast<int>(
+        chunk + gpusim::kWarpSize <= s.e ? gpusim::kWarpSize : s.e - chunk);
+    const std::uint32_t mask = s.warp.BallotSync(n, [&](int lane) {
+      const Slot& slot = s.result_array[chunk + lane];
+      return slot.id != kInvalidVertex && !slot.explored;
+    });
+    if (mask != 0) {
+      return chunk + static_cast<std::size_t>(gpusim::Warp::Ffs(mask));
+    }
   }
+  return s.e;
+}
 
-  const auto compute_distance = [&](VertexId v) {
-    ++local.distance_computations;
-    if (quantized) {
-      warp.ChargeCodeDistance(code_ctx->code_bytes());
-      return code_ctx->One(v);
-    }
-    warp.ChargeDistance(base.dim());
-    return data::ExactDistance(base.metric(), base.Point(v), query);
-  };
+/// Safety bound on iterations: every iteration explores one unexplored slot
+/// of N and a vertex can only be re-explored when the ablation disables the
+/// lazy check, so l_n * 64 is far beyond any legitimate run.
+std::size_t MaxIterations(const KernelState& s) { return s.l_n * 64; }
 
-  result_array[0] = Slot{compute_distance(entry), entry, false};
-  if (hardness != nullptr) hardness->entry_distance = result_array[0].dist;
-
-  PhaseTimer phases(block, profile != nullptr || block.tracing());
-
-  // Safety bound: every iteration explores one unexplored slot of N and a
-  // vertex can only be re-explored when the ablation disables the lazy
-  // check, so l_n * 64 is far beyond any legitimate run.
-  const std::size_t max_iterations = l_n * 64;
-  while (local.iterations < max_iterations) {
+/// The kernel as the GPU runs it: T is filled, every neighbor's distance is
+/// computed, phase (4) binary-searches N, and T is sorted and merged.
+void RunLiteralLoop(KernelState& s) {
+  gpusim::Warp& warp = s.warp;
+  const graph::ProximityGraph& graph = s.graph;
+  const data::Dataset& base = s.base;
+  const GannsParams& params = s.params;
+  const std::size_t l_n = s.l_n;
+  const std::size_t l_t = s.l_t;
+  std::span<Slot> result_array = s.result_array;
+  std::span<Slot> visiting = s.visiting;
+  const data::CodeDistanceContext* code_ctx = s.code_ctx;
+  const bool quantized = code_ctx != nullptr;
+  graph::QueryHardness* hardness = s.hardness;
+  PhaseTimer& phases = s.phases;
+  GannsSearchStats& local = s.local;
+  while (local.iterations < MaxIterations(s)) {
     phases.Begin();
-    // Phase (1): candidate locating. Warp-wide ballot over the explored
-    // flags of N[0..e), __ffs picks the first unexplored vertex.
-    std::size_t explore_pos = e;
-    for (std::size_t chunk = 0; chunk < e; chunk += gpusim::kWarpSize) {
-      const int n = static_cast<int>(
-          chunk + gpusim::kWarpSize <= e ? gpusim::kWarpSize : e - chunk);
-      const std::uint32_t mask = warp.BallotSync(n, [&](int lane) {
-        const Slot& slot = result_array[chunk + lane];
-        return slot.id != kInvalidVertex && !slot.explored;
-      });
-      if (mask != 0) {
-        explore_pos = chunk + static_cast<std::size_t>(gpusim::Warp::Ffs(mask));
-        break;
-      }
-    }
-    if (explore_pos == e) {
+    const std::size_t explore_pos = LocateCandidate(s);
+    if (explore_pos == s.e) {
       phases.End(0);
       break;  // all candidates explored: terminate
     }
@@ -216,7 +211,7 @@ std::vector<graph::Neighbor> GannsSearchOne(
           scratch.ids.push_back(visiting[i].id);
         }
         scratch.dists.resize(degree);
-        data::DistanceMany(base, scratch.ids, query, scratch.dists);
+        data::DistanceMany(base, scratch.ids, s.query, scratch.dists);
         warp.ChargeDistances(degree, base.dim());
         local.distance_computations += degree;
         for (std::size_t i = 0; i < degree; ++i) {
@@ -269,14 +264,204 @@ std::vector<graph::Neighbor> GannsSearchOne(
       // which copy survives at the l_n and e boundaries, and so which one
       // phase (1) explores; only the executed network reproduces it.
       gpusim::reference::MergeSortedKeepFirst(
-          warp, result_array, std::span<const Slot>(visiting), merge_scratch,
+          warp, result_array, std::span<const Slot>(visiting), s.merge_scratch,
           kSentinelSlot, SlotLess, gpusim::CostCategory::kDataStructure);
     } else {
       gpusim::MergeSortedKeepFirst(
-          warp, result_array, std::span<const Slot>(visiting), merge_scratch,
+          warp, result_array, std::span<const Slot>(visiting), s.merge_scratch,
           SlotLess, gpusim::CostCategory::kDataStructure);
     }
     phases.End(5);
+  }
+}
+
+/// The lazy-check kernel with each vertex's distance computed once per query
+/// on the host (DESIGN.md §4b). Under SlotLess the last slot of N never gets
+/// worse, so a vertex whose distance this query already computed is either
+/// in N now — the lazy check finds it and drops it as redundant — or can
+/// never enter N again. `memo` remembers which vertices this query has seen
+/// and their copies in N, so phases (3)-(6) touch only the neighbors seen
+/// for the first time, while every charge is the one RunLiteralLoop makes,
+/// in the same phase and order.
+void RunFastLoop(KernelState& s, QueryVertexMemo& memo, std::uint32_t stamp) {
+  gpusim::Warp& warp = s.warp;
+  const std::size_t l_n = s.l_n;
+  std::span<Slot> result_array = s.result_array;
+  SearchScratch& scratch = ThreadLocalSearchScratch();
+  // Neighbors first seen this iteration. A row that repeats such an id
+  // lists it twice, as T would hold both copies.
+  std::vector<VertexId>& fresh = scratch.ids;
+  std::vector<Dist>& fresh_dists = scratch.dists;
+  // Fresh neighbors that beat N's last slot, as (dist, id): SlotLess order.
+  std::vector<std::pair<Dist, VertexId>>& entering = scratch.heap;
+  while (s.local.iterations < MaxIterations(s)) {
+    s.phases.Begin();
+    const std::size_t explore_pos = LocateCandidate(s);
+    if (explore_pos == s.e) {
+      s.phases.End(0);
+      break;
+    }
+    s.phases.End(0);
+    const std::uint32_t iteration =
+        static_cast<std::uint32_t>(++s.local.iterations);
+
+    // Phase (2): charged as the kernel loads the row into T; the host reads
+    // the row in place.
+    const VertexId exploring = result_array[explore_pos].id;
+    result_array[explore_pos].explored = true;
+    warp.ChargeGlobalLoad(s.graph.d_max(), gpusim::CostCategory::kDataStructure);
+    const auto neighbor_ids = s.graph.Neighbors(exploring);
+    const std::size_t degree = s.graph.Degree(exploring);
+    if (s.hardness != nullptr && iteration == 1) {
+      s.hardness->early_fanout = static_cast<std::uint32_t>(degree);
+    }
+    warp.ChargeParallelFor(s.l_t, gpusim::CostCategory::kDataStructure,
+                           warp.params().shared_access);
+    s.phases.End(1);
+
+    // Phase (3): the kernel computes all `degree` distances; the host only
+    // those of vertices this query has not seen. A neighbor already in N is
+    // what phase (4) will count as redundant.
+    std::size_t redundant = 0;
+    fresh.clear();
+    for (std::size_t i = 0; i < degree; ++i) {
+      const VertexId v = neighbor_ids[i];
+      QueryVertexMemo::Entry& entry = memo.entries[v];
+      if (entry.stamp != stamp) {
+        entry = {stamp, iteration, 0};
+        fresh.push_back(v);
+      } else if (entry.in_result > 0) {
+        ++redundant;
+      } else if (entry.iteration == iteration) {
+        fresh.push_back(v);  // repeated id within this row
+      }
+      // Otherwise v lost to N's last slot before and cannot enter now.
+    }
+    if (degree > 0) {
+      fresh_dists.resize(fresh.size());
+      if (s.code_ctx != nullptr) {
+        s.code_ctx->Many(fresh, fresh_dists);
+        warp.ChargeCodeDistances(degree, s.code_ctx->code_bytes());
+      } else {
+        data::DistanceMany(s.base, fresh, s.query, fresh_dists);
+        warp.ChargeDistances(degree, s.base.dim());
+      }
+      s.local.distance_computations += degree;
+    }
+    s.phases.End(2);
+
+    // Phase (4): lazy check, counted from the memo instead of searched.
+    warp.ChargeBinarySearch(degree, l_n, gpusim::CostCategory::kDataStructure);
+    s.local.redundant_distances += redundant;
+    s.phases.End(3);
+
+    // Phase (5): only candidates that beat N's last slot can enter N; the
+    // network sorts all l_t slots of T.
+    const Slot& tail = result_array[l_n - 1];
+    entering.clear();
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      if (SlotLess(Slot{fresh_dists[i], fresh[i], false}, tail)) {
+        entering.emplace_back(fresh_dists[i], fresh[i]);
+      }
+    }
+    std::sort(entering.begin(), entering.end());
+    gpusim::ChargeBitonicSort(warp, s.l_t, gpusim::CostCategory::kDataStructure);
+    s.phases.End(4);
+
+    // Phase (6): merge the entering vertices into N from the tail, keeping
+    // the l_n smallest; N wins ties, as in MergeSortedKeepFirst. The
+    // |entering| largest of the union drop out.
+    std::size_t i = l_n;
+    std::size_t j = entering.size();
+    for (std::size_t out = l_n + entering.size(); j > 0;) {
+      --out;
+      const Slot incoming{entering[j - 1].first, entering[j - 1].second, false};
+      if (i > 0 && SlotLess(incoming, result_array[i - 1])) {
+        const Slot moved = result_array[--i];
+        if (out < l_n) {
+          result_array[out] = moved;
+        } else if (moved.id != kInvalidVertex) {
+          --memo.entries[moved.id].in_result;  // evicted
+        }
+      } else {
+        --j;
+        if (out < l_n) {
+          result_array[out] = incoming;
+          ++memo.entries[incoming.id].in_result;
+        }
+      }
+    }
+    gpusim::ChargeMergeSortedKeepFirst(warp, l_n, s.l_t,
+                                       gpusim::CostCategory::kDataStructure);
+    s.phases.End(5);
+  }
+}
+
+std::vector<graph::Neighbor> SearchImpl(
+    bool literal, gpusim::BlockContext& block,
+    const graph::ProximityGraph& graph, const data::Dataset& base,
+    std::span<const float> query, const GannsParams& params, VertexId entry,
+    GannsSearchStats* stats, GannsQueryProfile* profile,
+    const data::SearchQuantization* quant, graph::QueryHardness* hardness) {
+  GANNS_CHECK(params.k >= 1);
+  GANNS_CHECK(params.l_n >= params.k);
+  GANNS_CHECK_MSG((params.l_n & (params.l_n - 1)) == 0,
+                  "l_n must be a power of two, got " << params.l_n);
+  GANNS_CHECK(entry < graph.num_vertices());
+  gpusim::Warp& warp = block.warp();
+  GannsSearchStats local;
+
+  const std::size_t l_n = params.l_n;
+  const std::size_t l_t = gpusim::NextPow2(graph.d_max());
+
+  // Shared-memory arrays (§III-B "Data Structures and Memory Allocation"):
+  // N holds the top results and potential exploring vertices, T the visiting
+  // vertices of the current iteration. The fast path allocates T and the
+  // merge layout too: the kernel it charges for holds them.
+  std::span<Slot> result_array = block.AllocShared<Slot>(l_n);    // N
+  std::span<Slot> visiting = block.AllocShared<Slot>(l_t);        // T
+  std::span<Slot> merge_scratch = block.AllocShared<Slot>(
+      2 * gpusim::NextPow2(l_n > l_t ? l_n : l_t));
+
+  // Compressed path: in-loop distances come from the packed codes (narrower
+  // loads); the PQ LUT is built — and charged — once per query up front.
+  const bool quantized = quant != nullptr && quant->enabled();
+  std::optional<data::CodeDistanceContext> code_ctx;
+  if (quantized) {
+    code_ctx.emplace(*quant, base.metric(), query);
+    warp.ChargeLutBuild(code_ctx->lut_build_words());
+  }
+
+  ++local.distance_computations;
+  Dist entry_dist;
+  if (quantized) {
+    warp.ChargeCodeDistance(code_ctx->code_bytes());
+    entry_dist = code_ctx->One(entry);
+  } else {
+    warp.ChargeDistance(base.dim());
+    entry_dist = data::ExactDistance(base.metric(), base.Point(entry), query);
+  }
+  result_array[0] = Slot{entry_dist, entry, false};
+  if (hardness != nullptr) hardness->entry_distance = entry_dist;
+
+  PhaseTimer phases(block, profile != nullptr || block.tracing());
+  KernelState state{warp,         graph,
+                    base,         query,
+                    params,       l_n,
+                    l_t,          params.EffectiveE(),
+                    result_array, visiting,
+                    merge_scratch, quantized ? &*code_ctx : nullptr,
+                    hardness,     phases,
+                    local};
+  if (literal) {
+    RunLiteralLoop(state);
+  } else {
+    // ExactDistance and DistanceMany run the same dispatched kernel, so the
+    // lazy check would find the entry in N whenever its row lists it.
+    QueryVertexMemo& memo = ThreadLocalQueryVertexMemo();
+    const std::uint32_t stamp = memo.BeginQuery(graph.num_vertices());
+    memo.entries[entry] = {stamp, 0, 1};
+    RunFastLoop(state, memo, stamp);
   }
 
   // Result write-back: the first k valid entries of N (already sorted).
@@ -332,6 +517,34 @@ std::vector<graph::Neighbor> GannsSearchOne(
   }
   return out;
 }
+
+}  // namespace
+
+std::vector<graph::Neighbor> GannsSearchOne(
+    gpusim::BlockContext& block, const graph::ProximityGraph& graph,
+    const data::Dataset& base, std::span<const float> query,
+    const GannsParams& params, VertexId entry, GannsSearchStats* stats,
+    GannsQueryProfile* profile, const data::SearchQuantization* quant,
+    graph::QueryHardness* hardness) {
+  // Without the lazy check the network's tie order decides which duplicate
+  // is explored (DESIGN.md §4b); only the literal kernel reproduces it.
+  return SearchImpl(params.disable_lazy_check, block, graph, base, query,
+                    params, entry, stats, profile, quant, hardness);
+}
+
+namespace reference {
+
+std::vector<graph::Neighbor> GannsSearchOne(
+    gpusim::BlockContext& block, const graph::ProximityGraph& graph,
+    const data::Dataset& base, std::span<const float> query,
+    const GannsParams& params, VertexId entry, GannsSearchStats* stats,
+    GannsQueryProfile* profile, const data::SearchQuantization* quant,
+    graph::QueryHardness* hardness) {
+  return SearchImpl(true, block, graph, base, query, params, entry, stats,
+                    profile, quant, hardness);
+}
+
+}  // namespace reference
 
 graph::BatchSearchResult GannsSearchBatch(gpusim::Device& device,
                                           const graph::ProximityGraph& graph,

@@ -94,6 +94,11 @@ struct GannsQueryProfile {
 ///   closest of T ∪ N.
 /// Returns up to k neighbors sorted ascending by (dist, id).
 ///
+/// With the lazy check on, the host computes each vertex's distance at most
+/// once per query and charges exactly what the literal kernel
+/// (core/ganns_search_reference.h) executes; with it off, it runs that
+/// kernel.
+///
 /// When `quant` is non-null and enabled, the traversal runs the two-stage
 /// compressed path: every in-loop distance is the approximate code distance
 /// (charged as the proportionally narrower load), and before emission the

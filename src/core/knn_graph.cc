@@ -50,12 +50,12 @@ KnnBuildResult BuildKnnGraph(gpusim::Device& device,
             }
           }
           if (duplicate) continue;
-          warp.ChargeDistance(base.dim());
           neighbors.push_back(
               {data::ExactDistance(base.metric(), base.Point(target),
                                    base.Point(v)),
                target});
         }
+        warp.ChargeDistances(neighbors.size(), base.dim());
         std::sort(neighbors.begin(), neighbors.end());
         std::vector<graph::ProximityGraph::Edge> row;
         row.reserve(params.k);
@@ -84,12 +84,13 @@ KnnBuildResult BuildKnnGraph(gpusim::Device& device,
           const std::size_t degree =
               std::min(sample, result.graph.Degree(v));
           warp.ChargeGlobalLoad(degree, gpusim::CostCategory::kDataStructure);
+          warp.ChargeDistances(degree > 1 ? degree * (degree - 1) / 2 : 0,
+                               base.dim());
           std::size_t slot = std::size_t{v} * pairs_per_vertex * 2;
           for (std::size_t a = 0; a < degree; ++a) {
             for (std::size_t b = a + 1; b < degree; ++b) {
               const VertexId u1 = ids[a];
               const VertexId u2 = ids[b];
-              warp.ChargeDistance(base.dim());
               const Dist dist = data::ExactDistance(
                   base.metric(), base.Point(u1), base.Point(u2));
               proposals[slot++] = BackwardEdge{u1, u2, dist};

@@ -106,11 +106,11 @@ UpdateResult RemoveVertex(gpusim::Device& device, graph::ProximityGraph& graph,
         out.reserve(ring.size() - 1);
         for (const graph::Neighbor& w : ring) {
           if (w.id == u) continue;
-          warp.ChargeDistance(base.dim());
           out.push_back({u, w.id,
                          data::ExactDistance(base.metric(), base.Point(u),
                                              base.Point(w.id))});
         }
+        warp.ChargeDistances(out.size(), base.dim());
       });
 
   std::vector<BackwardEdge> edges;

@@ -34,23 +34,44 @@ inline double CompareExchangeCycles(const CostParams& params) {
   return params.alu_step + 2 * params.shared_access;
 }
 
-/// Sorts `data` (size must be a power of two) ascending under `less` and
-/// charges the bitonic sorting network: log2(L)*(log2(L)+1)/2 stages, each a
-/// lane-strided pass over L/2 compare-exchange pairs, to `category`.
-template <typename T, typename Less>
-void BitonicSort(Warp& warp, std::span<T> data, Less less,
-                 CostCategory category) {
-  const std::size_t len = data.size();
+/// Charges the bitonic sorting network over `len` slots (a power of two):
+/// log2(L)*(log2(L)+1)/2 stages, each a lane-strided pass over L/2
+/// compare-exchange pairs, to `category`. Sorts nothing.
+inline void ChargeBitonicSort(Warp& warp, std::size_t len,
+                              CostCategory category) {
   GANNS_CHECK_MSG((len & (len - 1)) == 0, "bitonic sort length " << len
                                           << " is not a power of two");
-  if (len <= 1) return;
-  std::sort(data.begin(), data.end(), less);
   const double stage = warp.StepsFor(len / 2) * CompareExchangeCycles(warp.params());
   for (std::size_t k = 2; k <= len; k <<= 1) {
     for (std::size_t j = k >> 1; j > 0; j >>= 1) {
       warp.cost().Charge(category, stage);
     }
   }
+}
+
+/// Sorts `data` (size must be a power of two) ascending under `less` and
+/// charges the bitonic sorting network (ChargeBitonicSort).
+template <typename T, typename Less>
+void BitonicSort(Warp& warp, std::span<T> data, Less less,
+                 CostCategory category) {
+  ChargeBitonicSort(warp, data.size(), category);
+  if (data.size() > 1) std::sort(data.begin(), data.end(), less);
+}
+
+/// Charges MergeSortedKeepFirst of an |a| = `a_size`, |b| = `b_size` pair:
+/// the store into a 2 * NextPow2(max(|a|, |b|))-slot bitonic layout, the
+/// log2-stage merge over it and the copy-back of |a| slots. Merges nothing.
+inline void ChargeMergeSortedKeepFirst(Warp& warp, std::size_t a_size,
+                                       std::size_t b_size,
+                                       CostCategory category) {
+  const std::size_t len = 2 * NextPow2(a_size > b_size ? a_size : b_size);
+  const double shared_access = warp.params().shared_access;
+  warp.cost().Charge(category, warp.StepsFor(len) * shared_access);
+  const double stage = warp.StepsFor(len / 2) * CompareExchangeCycles(warp.params());
+  for (std::size_t j = len >> 1; j > 0; j >>= 1) {
+    warp.cost().Charge(category, stage);
+  }
+  warp.cost().Charge(category, warp.StepsFor(a_size) * shared_access);
 }
 
 /// Merges two ascending sequences `a` and `b` (each already sorted under
@@ -64,15 +85,9 @@ template <typename T, typename Less>
 void MergeSortedKeepFirst(Warp& warp, std::span<T> a, std::span<const T> b,
                           std::span<T> scratch, Less less,
                           CostCategory category) {
-  const std::size_t len =
-      2 * NextPow2(a.size() > b.size() ? a.size() : b.size());
-  GANNS_CHECK(scratch.size() >= len);
-  const double shared_access = warp.params().shared_access;
-  warp.cost().Charge(category, warp.StepsFor(len) * shared_access);
-  const double stage = warp.StepsFor(len / 2) * CompareExchangeCycles(warp.params());
-  for (std::size_t j = len >> 1; j > 0; j >>= 1) {
-    warp.cost().Charge(category, stage);
-  }
+  GANNS_CHECK(scratch.size() >=
+              2 * NextPow2(a.size() > b.size() ? a.size() : b.size()));
+  ChargeMergeSortedKeepFirst(warp, a.size(), b.size(), category);
   if (!b.empty()) {
     std::size_t i = 0;
     std::size_t j = 0;
@@ -81,7 +96,6 @@ void MergeSortedKeepFirst(Warp& warp, std::span<T> a, std::span<const T> b,
     }
     std::copy_n(scratch.begin(), a.size(), a.begin());
   }
-  warp.cost().Charge(category, warp.StepsFor(a.size()) * shared_access);
 }
 
 }  // namespace gpusim

@@ -72,6 +72,13 @@ class Warp {
   void ParallelFor(std::size_t n, CostCategory category, double cycles_per_step,
                    Fn&& fn) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
+    ChargeParallelFor(n, category, cycles_per_step);
+  }
+
+  /// Charges what ParallelFor(n, category, cycles_per_step, fn) charges,
+  /// without running a body — for host fast paths that skip the work.
+  void ChargeParallelFor(std::size_t n, CostCategory category,
+                         double cycles_per_step) {
     cost_->Charge(category, StepsFor(n) * cycles_per_step);
   }
 
@@ -132,6 +139,17 @@ class Warp {
     cost_->Charge(CostCategory::kDistance,
                   StepsFor(words) * params_->alu_step +
                       ReduceSteps() * params_->shfl_step);
+  }
+
+  /// Charges `count` ChargeCodeDistance(code_bytes) calls in one addition;
+  /// exact for whole-cycle cost parameters, like ChargeDistances.
+  void ChargeCodeDistances(std::size_t count, std::size_t code_bytes) {
+    const std::size_t words = (code_bytes + 3) / 4;
+    const double per_distance =
+        StepsFor(words) * params_->global_transaction +
+        (StepsFor(words) * params_->alu_step + ReduceSteps() * params_->shfl_step);
+    cost_->Charge(CostCategory::kDistance,
+                  static_cast<double>(count) * per_distance);
   }
 
   /// One-time per-query LUT construction for PQ asymmetric distances:

@@ -204,17 +204,15 @@ std::vector<graph::Neighbor> SongSearchOne(
     // layer in one call and is charged as num_cand per-point costs at once.
     if (num_cand > 0) {
       if (quantized) {
-        for (std::size_t i = 0; i < num_cand; ++i) {
-          warp.ChargeCodeDistance(code_ctx->code_bytes());
-          ++local.distance_computations;
-          cand_dist[i] = code_ctx->One(cand[i]);
-        }
+        code_ctx->Many(cand.subspan(0, num_cand),
+                       cand_dist.subspan(0, num_cand));
+        warp.ChargeCodeDistances(num_cand, code_ctx->code_bytes());
       } else {
         data::DistanceMany(base, cand.subspan(0, num_cand), query,
                            cand_dist.subspan(0, num_cand));
         warp.ChargeDistances(num_cand, base.dim());
-        local.distance_computations += num_cand;
       }
+      local.distance_computations += num_cand;
     }
     stages.End(1);
 

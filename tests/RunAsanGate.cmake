@@ -22,6 +22,7 @@ execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${GANNS_ASAN_BUILD}
           --target serve_test obs_concurrency_test common_concurrency_test
                    quantize_test cluster_test federation_test
+                   ganns_search_test
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "ASan subbuild compile failed")
@@ -62,6 +63,15 @@ execute_process(COMMAND ${GANNS_ASAN_BUILD}/tests/quantize_test
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "quantize_test failed under ASan")
+endif()
+
+# The GANNS kernel's host fast path indexes a per-thread vertex table by
+# vertex id across graphs of different sizes; its differential test runs
+# with tracing on, so the phase spans are recorded under ASan too.
+execute_process(COMMAND ${GANNS_ASAN_BUILD}/tests/ganns_search_test
+                RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "ganns_search_test failed under ASan")
 endif()
 
 # The cluster layer shuttles snapshot merges across simulated nodes and the

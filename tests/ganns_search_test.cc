@@ -1,17 +1,23 @@
 // Tests for the GANNS 6-phase search kernel: exactness on complete graphs,
 // result invariants, parameter effects (l_n, e), the lazy-check behaviour,
-// determinism, and the cost-model properties the paper's analysis predicts.
+// determinism, the cost-model properties the paper's analysis predicts, and
+// the host fast path against the literal kernel.
 
+#include <algorithm>
 #include <array>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/ganns_search.h"
+#include "core/ganns_search_reference.h"
 #include "data/ground_truth.h"
+#include "data/quantize.h"
 #include "data/synthetic.h"
 #include "graph/cpu_nsw.h"
 #include "golden_digest.h"
+#include "obs/trace.h"
 
 namespace ganns {
 namespace core {
@@ -305,6 +311,231 @@ TEST_F(GannsSearchTest, KernelOutputsMatchRecordedGolden) {
     EXPECT_EQ(batch.kernel.sim_cycles, golden.sim_cycles);
     for (int i = 0; i < kNumGannsPhases; ++i) {
       EXPECT_EQ(sums[i], golden.phase_sums[i]) << GannsPhaseName(i);
+    }
+  }
+}
+
+// ---- Differential: the host fast path against the literal kernel. ----
+//
+// GannsSearchOne computes each vertex's distance once per query; the literal
+// kernel recomputes every neighbor and binary-searches N. With the lazy check
+// on they must agree exactly: results, counters, profiles, hardness signals,
+// per-category cycles and the trace. Queries run back to back on one thread,
+// alternating the two kernels, over graphs of different sizes, so any state
+// the per-thread vertex memo carried from one query or graph to the next
+// would show.
+
+using SearchOneFn = std::vector<graph::Neighbor> (*)(
+    gpusim::BlockContext&, const graph::ProximityGraph&, const data::Dataset&,
+    std::span<const float>, const GannsParams&, VertexId, GannsSearchStats*,
+    GannsQueryProfile*, const data::SearchQuantization*,
+    graph::QueryHardness*);
+
+struct DiffCase {
+  std::string name;
+  const graph::ProximityGraph* graph;
+  const data::Dataset* base;
+  const data::Dataset* queries;
+  const data::SearchQuantization* quant = nullptr;
+};
+
+struct QueryRecord {
+  std::vector<graph::Neighbor> found;
+  GannsSearchStats stats;
+  GannsQueryProfile profile;
+  graph::QueryHardness hardness;
+  std::array<double, gpusim::kNumCostCategories> cycles{};
+};
+
+QueryRecord RunQuery(SearchOneFn search, const DiffCase& c,
+                     const GannsParams& params, VertexId entry,
+                     std::size_t q) {
+  static const gpusim::CostParams kCost;
+  gpusim::BlockContext block(0, 32, 48 * 1024, &kCost);
+  QueryRecord r;
+  r.found = search(block, *c.graph, *c.base,
+                   c.queries->Point(static_cast<VertexId>(q)), params, entry,
+                   &r.stats, &r.profile, c.quant, &r.hardness);
+  for (int i = 0; i < gpusim::kNumCostCategories; ++i) {
+    r.cycles[i] = block.cost().cycles(static_cast<gpusim::CostCategory>(i));
+  }
+  return r;
+}
+
+void ExpectSameQuery(const QueryRecord& fast, const QueryRecord& ref) {
+  EXPECT_EQ(fast.found, ref.found);
+  EXPECT_EQ(fast.stats.iterations, ref.stats.iterations);
+  EXPECT_EQ(fast.stats.distance_computations, ref.stats.distance_computations);
+  EXPECT_EQ(fast.stats.redundant_distances, ref.stats.redundant_distances);
+  EXPECT_EQ(fast.profile.hops, ref.profile.hops);
+  EXPECT_EQ(fast.profile.distance_computations,
+            ref.profile.distance_computations);
+  EXPECT_EQ(fast.profile.redundant_distances, ref.profile.redundant_distances);
+  EXPECT_EQ(fast.profile.result_occupancy, ref.profile.result_occupancy);
+  EXPECT_EQ(fast.profile.total_cycles, ref.profile.total_cycles);
+  EXPECT_EQ(fast.profile.phase_cycles, ref.profile.phase_cycles);
+  EXPECT_EQ(fast.hardness.entry_distance, ref.hardness.entry_distance);
+  EXPECT_EQ(fast.hardness.early_fanout, ref.hardness.early_fanout);
+  EXPECT_EQ(fast.hardness.visited, ref.hardness.visited);
+  EXPECT_EQ(fast.hardness.budget, ref.hardness.budget);
+  EXPECT_EQ(fast.cycles, ref.cycles);
+}
+
+/// One traced launch of `search` over every query; returns the trace JSON
+/// and the kernel's simulated cycles.
+std::pair<std::string, double> TracedLaunch(SearchOneFn search,
+                                            const DiffCase& c,
+                                            const GannsParams& params,
+                                            VertexId entry) {
+  obs::TraceRecorder::Global().Clear();
+  gpusim::Device device;  // fresh timeline: cycle stamps start at zero
+  const gpusim::KernelStats kernel = device.Launch(
+      "ganns_search", static_cast<int>(c.queries->size()), 32,
+      [&](gpusim::BlockContext& block) {
+        search(block, *c.graph, *c.base,
+               c.queries->Point(static_cast<VertexId>(block.block_id())),
+               params, entry, nullptr, nullptr, c.quant, nullptr);
+      });
+  return {obs::TraceRecorder::Global().ToJson(), kernel.sim_cycles};
+}
+
+/// Restores the process-wide tracing switch and empties the recorder.
+class ScopedTracing {
+ public:
+  ScopedTracing() : was_(obs::TracingEnabled()) {
+    obs::SetTracingEnabled(true);
+  }
+  ~ScopedTracing() {
+    obs::SetTracingEnabled(was_);
+    obs::TraceRecorder::Global().Clear();
+  }
+
+ private:
+  bool was_;
+};
+
+/// `graph` with the rows of every `stride`-th vertex extended by repeated
+/// ids: copies of the row's first two neighbors at a slightly larger edge
+/// length (SetNeighbors only asks for (dist, id) order).
+graph::ProximityGraph WithRepeatedIds(graph::ProximityGraph graph,
+                                      std::size_t stride) {
+  for (std::size_t v = 0; v < graph.num_vertices(); v += stride) {
+    const VertexId id = static_cast<VertexId>(v);
+    const std::size_t degree = graph.Degree(id);
+    std::vector<graph::ProximityGraph::Edge> edges;
+    for (std::size_t i = 0; i < degree; ++i) {
+      edges.push_back({graph.Neighbors(id)[i], graph.NeighborDists(id)[i]});
+    }
+    for (std::size_t i = 0; i < std::min<std::size_t>(2, degree); ++i) {
+      edges.push_back({edges[i].id, edges[i].dist + 1e-3f});
+    }
+    std::sort(edges.begin(), edges.end(), [](const auto& a, const auto& b) {
+      return a.dist != b.dist ? a.dist < b.dist : a.id < b.id;
+    });
+    edges.resize(std::min(edges.size(), graph.d_max()));
+    graph.SetNeighbors(id, edges);
+  }
+  return graph;
+}
+
+TEST_F(GannsSearchTest, FastPathMatchesLiteralKernel) {
+  const auto& sift = data::PaperDataset("SIFT1M");
+  const auto& glove = data::PaperDataset("GloVe200");
+
+  // Graphs of different sizes and degree bounds (d_max 20 and 24 are not
+  // powers of two, so T carries sentinel padding).
+  const data::Dataset small_base = data::GenerateBase(sift, 300, 11);
+  const data::Dataset small_queries = data::GenerateQueries(sift, 8, 300, 11);
+  const graph::ProximityGraph small_graph =
+      graph::BuildNswCpu(small_base, {10, 20, 32}).graph;
+  const data::Dataset large_base = data::GenerateBase(sift, 1500, 12);
+  const data::Dataset large_queries =
+      data::GenerateQueries(sift, 8, 1500, 12);
+  const graph::ProximityGraph large_graph =
+      graph::BuildNswCpu(large_base, {12, 24, 32}).graph;
+  const data::Dataset cos_base = data::GenerateBase(glove, 600, 13);
+  const data::Dataset cos_queries = data::GenerateQueries(glove, 8, 600, 13);
+  const graph::ProximityGraph cos_graph =
+      graph::BuildNswCpu(cos_base, {12, 24, 32}).graph;
+  ASSERT_EQ(cos_base.metric(), data::Metric::kCosine);
+
+  // Mutated copies of the fixture graph: tombstoned vertices (traversed,
+  // never returned), degree-0 rows, and rows that repeat an id.
+  graph::ProximityGraph tombstoned = built_->graph;
+  for (VertexId v = 5; v < tombstoned.num_vertices(); v += 7) {
+    tombstoned.Tombstone(v);
+  }
+  graph::ProximityGraph sparse = built_->graph;
+  for (VertexId v = 3; v < sparse.num_vertices(); v += 5) {
+    sparse.ClearVertex(v);
+  }
+  const graph::ProximityGraph repeated = WithRepeatedIds(built_->graph, 3);
+
+  // Compressed in-loop distances, L2 and cosine.
+  data::QuantizerOptions sq8_options;
+  sq8_options.precision = data::Precision::kSq8;
+  data::QuantizerOptions pq_options;
+  pq_options.precision = data::Precision::kPq;
+  pq_options.pq_subspaces = 16;
+  const data::Quantizer sq8 = data::Quantizer::Train(*base_, sq8_options);
+  const data::QuantizedCodes sq8_codes =
+      data::QuantizedCodes::EncodeAll(sq8, *base_);
+  const data::Quantizer pq = data::Quantizer::Train(*base_, pq_options);
+  const data::QuantizedCodes pq_codes =
+      data::QuantizedCodes::EncodeAll(pq, *base_);
+  const data::Quantizer cos_sq8 = data::Quantizer::Train(cos_base, sq8_options);
+  const data::QuantizedCodes cos_sq8_codes =
+      data::QuantizedCodes::EncodeAll(cos_sq8, cos_base);
+  const data::SearchQuantization sq8_quant{&sq8, &sq8_codes, 4};
+  const data::SearchQuantization pq_quant{&pq, &pq_codes, 4};
+  const data::SearchQuantization cos_sq8_quant{&cos_sq8, &cos_sq8_codes, 4};
+
+  const DiffCase cases[] = {
+      {"nsw800", &built_->graph, base_.get(), queries_.get()},
+      {"nsw300_dmax20", &small_graph, &small_base, &small_queries},
+      {"nsw1500_dmax24", &large_graph, &large_base, &large_queries},
+      {"cosine600", &cos_graph, &cos_base, &cos_queries},
+      {"tombstoned", &tombstoned, base_.get(), queries_.get()},
+      {"degree0_rows", &sparse, base_.get(), queries_.get()},
+      {"repeated_ids", &repeated, base_.get(), queries_.get()},
+      {"sq8", &built_->graph, base_.get(), queries_.get(), &sq8_quant},
+      {"pq", &built_->graph, base_.get(), queries_.get(), &pq_quant},
+      {"cosine_sq8", &cos_graph, &cos_base, &cos_queries, &cos_sq8_quant},
+  };
+  std::optional<ScopedTracing> tracing;
+  if (obs::TracingCompiledIn()) tracing.emplace();
+  for (const DiffCase& c : cases) {
+    const VertexId entries[] = {
+        0, static_cast<VertexId>(c.graph->num_vertices() / 3)};
+    for (std::size_t l_n = 16; l_n <= 512; l_n *= 2) {
+      for (const VertexId entry : entries) {
+        for (const std::size_t e : {std::size_t{0}, l_n / 4}) {
+          SCOPED_TRACE(::testing::Message() << c.name << " l_n " << l_n
+                                            << " entry " << entry << " e "
+                                            << e);
+          GannsParams params;
+          params.k = 10;
+          params.l_n = l_n;
+          params.e = e;
+          for (std::size_t q = 0; q < c.queries->size() && q < 8; ++q) {
+            const QueryRecord fast =
+                RunQuery(&GannsSearchOne, c, params, entry, q);
+            const QueryRecord ref =
+                RunQuery(&reference::GannsSearchOne, c, params, entry, q);
+            ExpectSameQuery(fast, ref);
+            if (HasFailure()) return;  // one diverging query says enough
+          }
+          if (tracing.has_value() && e == 0 && entry == 0) {
+            const auto fast = TracedLaunch(&GannsSearchOne, c, params, entry);
+            const auto ref =
+                TracedLaunch(&reference::GannsSearchOne, c, params, entry);
+            EXPECT_EQ(fast.second, ref.second);
+            // Not EXPECT_EQ: a mismatch would print megabytes of JSON.
+            EXPECT_TRUE(fast.first == ref.first) << "trace JSON differs";
+            if (HasFailure()) return;
+          }
+        }
+      }
     }
   }
 }

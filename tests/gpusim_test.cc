@@ -450,6 +450,27 @@ TEST(WarpTest, ChargeDistancesEqualsRepeatedChargeDistance) {
   }
 }
 
+TEST(WarpTest, ChargeCodeDistancesEqualsRepeatedChargeCodeDistance) {
+  for (const int lanes : {1, 4, 32}) {
+    // SQ8 codes are dim bytes, PQ codes one byte per subspace.
+    for (const std::size_t code_bytes : {1u, 3u, 16u, 128u, 200u, 960u}) {
+      CostModel batched_cost;
+      CostModel looped_cost;
+      Warp batched(lanes, &batched_cost);
+      Warp looped(lanes, &looped_cost);
+      batched.ChargeGlobalLoad(17, CostCategory::kDistance);
+      looped.ChargeGlobalLoad(17, CostCategory::kDistance);
+      for (const std::size_t count : {0u, 1u, 7u, 64u, 1000u}) {
+        batched.ChargeCodeDistances(count, code_bytes);
+        for (std::size_t i = 0; i < count; ++i) {
+          looped.ChargeCodeDistance(code_bytes);
+        }
+        ExpectSameCycles(batched_cost, looped_cost);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gpusim
 }  // namespace ganns

@@ -130,7 +130,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -203,19 +205,54 @@ class Args {
     return *value;
   }
 
+  /// A count, size or seed: exits 2 naming the flag and its value unless
+  /// the whole value is an integer >= 0.
   long Int(const std::string& key, long fallback) const {
     const auto value = Get(key);
-    return value.has_value() ? std::atol(value->c_str()) : fallback;
+    if (!value.has_value()) return fallback;
+    const long parsed = SignedInt(key, fallback);
+    if (parsed < 0) Reject(key, *value, "must be >= 0");
+    return parsed;
   }
 
+  /// Like Int, for the few flags where a negative value means "off".
+  long SignedInt(const std::string& key, long fallback) const {
+    const auto value = Get(key);
+    if (!value.has_value()) return fallback;
+    errno = 0;
+    char* end = nullptr;
+    const long parsed = std::strtol(value->c_str(), &end, 10);
+    if (end == value->c_str() || *end != '\0' || errno == ERANGE) {
+      Reject(key, *value, "not an integer");
+    }
+    return parsed;
+  }
+
+  /// A duration, rate or fraction: exits 2 naming the flag and its value
+  /// unless the whole value is a finite number >= 0.
   double Double(const std::string& key, double fallback) const {
     const auto value = Get(key);
-    return value.has_value() ? std::atof(value->c_str()) : fallback;
+    if (!value.has_value()) return fallback;
+    char* end = nullptr;
+    const double parsed = std::strtod(value->c_str(), &end);
+    if (end == value->c_str() || *end != '\0' || !std::isfinite(parsed)) {
+      Reject(key, *value, "not a number");
+    }
+    if (parsed < 0) Reject(key, *value, "must be >= 0");
+    return parsed;
   }
 
   bool Flag(const std::string& key) const { return Get(key).has_value(); }
 
  private:
+  [[noreturn]] static void Reject(const std::string& key,
+                                  const std::string& value,
+                                  const char* reason) {
+    std::fprintf(stderr, "invalid --%s '%s': %s\n", key.c_str(),
+                 value.c_str(), reason);
+    std::exit(2);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -919,11 +956,11 @@ int CmdClusterBench(const Args& args) {
       args.Double("agg-deadline-us", 100.0);
   cluster_options.seed = seed;
   cluster_options.faults.crash_node =
-      static_cast<int>(args.Int("crash-node", -1));
+      static_cast<int>(args.SignedInt("crash-node", -1));
   cluster_options.faults.crash_at_batch =
       static_cast<std::uint64_t>(args.Int("crash-at-batch", 1));
   cluster_options.faults.rejoin_after_batches =
-      static_cast<int>(args.Int("rejoin-after", -1));
+      static_cast<int>(args.SignedInt("rejoin-after", -1));
   cluster_options.faults.drop_rate = args.Double("drop-pct", 0.0) / 100.0;
   cluster_options.faults.delay_rate = args.Double("delay-pct", 0.0) / 100.0;
   cluster_options.faults.delay_us = args.Double("delay-us", 200.0);
